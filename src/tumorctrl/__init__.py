@@ -8,8 +8,7 @@ from .adjoint import (AdjointData, AdjointTrajectory, adjoint_residuals,
 from .config import (ExperimentConfig, config_from_dict, parse_config,
                      serialize_config)
 from .control import (OptimizationReport, OptimizerOptions, control_inner,
-                      control_norm, control_to_state,
-                      cost_eval, fd_gradient_check, project_admissible,
+                      control_norm, cost_eval, fd_gradient_check, project_admissible,
                       projected_gradient_descent, reduced_gradient,
                       sample_variational_inequality, stationarity_residual)
 from .errors import (ConfigError, DegenerateSystemError, DomainViolationError,
@@ -21,7 +20,7 @@ from .model import (Potential, Proliferation, SeparationInterval,
                     separation_interval)
 from .problem import ControlProblemSpec
 from .spectral import (BasisKind, Field, FractionalPower, QuadratureGrid,
-                       SpectralBasis, apply_power, assemble_power_matrix,
+                       SpectralBasis, apply_power,
                        build_basis, from_modal, graph_norm, inner_product,
                        midpoint_grid, norm, solve_power_plus_mult, to_modal)
 from .state import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, SolverConfig,

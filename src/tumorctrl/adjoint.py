@@ -98,9 +98,8 @@ def solve_adjoint(system: TumorSystem, time_grid: TimeGrid,
         D_k = P_fun.d1(traj.phi[k]) * (traj.S[k] - traj.mu[k])
         df_k = pot.df(traj.phi[k])
 
-        Q = np.linalg.inv(system.MA + np.diag(P_k))
-        Qp = Q
-        Qr = Q * P_k[None, :]
+        Qp = np.linalg.inv(system.MA + np.diag(P_k))
+        Qr = Qp * P_k[None, :]
 
         A11 = (I + Qp) / dt + system.MB + np.diag(df_k) - D_k[:, None] * Qp
         A12 = Qr / dt - D_k[:, None] * Qr + np.diag(D_k)
@@ -174,14 +173,13 @@ def _weighted_gram(coeff: np.ndarray, Ea: np.ndarray, w: np.ndarray,
 
 def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
                                    traj: StateTrajectory, spec: ControlProblemSpec,
-                                   n_viscosity: int,
-                                   ode_tol: float | None = None) -> AdjointTrajectory:
+                                   n_viscosity: int) -> AdjointTrajectory:
     """Backward modal integration of the viscous system -E y' + M(t) y = b(t).
 
     The q-equation gains a -(1/n_viscosity) dq/dt term, making the stacked
     modal unknowns y = (q^, p^, r^) a linear ODE.  Terminal data: q^(T) = 0,
-    p^ and r^ start from the projections of g2 and g4.  ode_tol, when given,
-    is the backward substep size (default: one substep per trajectory step).
+    p^ and r^ start from the projections of g2 and g4.  Each backward Euler
+    step from node k+1 to node k takes its coefficients at node k.
     """
     if n_viscosity < 1:
         raise ValueError("n_viscosity must be >= 1")
@@ -214,9 +212,6 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     E_mat[nA:nA + nB, nA:nA + nB] = np.eye(nB)
     E_mat[nA + nB:, nA + nB:] = np.eye(nC)
 
-    substeps = max(1, int(np.ceil(dt / ode_tol))) if ode_tol else 1
-    delta = dt / substeps
-
     def assemble(phi, S, mu, g1, g3):
         P = system.proliferation(phi)
         D = system.proliferation.d1(phi) * (S - mu)
@@ -238,20 +233,12 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     y_nodes[n] = y
 
     for k in range(n - 1, -1, -1):
-        for j in range(1, substeps + 1):
-            # coefficient fields at the earlier (target) time, by interpolation
-            theta = j * delta / dt  # fraction of the way from node k+1 to k
-            phi = (1 - theta) * traj.phi[k + 1] + theta * traj.phi[k]
-            S = (1 - theta) * traj.S[k + 1] + theta * traj.S[k]
-            mu = (1 - theta) * traj.mu[k + 1] + theta * traj.mu[k]
-            g1 = (1 - theta) * data.g1[k + 1] + theta * data.g1[k]
-            g3 = (1 - theta) * data.g3[k + 1] + theta * data.g3[k]
-            M, b = assemble(phi, S, mu, g1, g3)
-            try:
-                y = np.linalg.solve(E_mat / delta + M, E_mat @ y / delta + b)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateSystemError(
-                    f"viscous backward integrator failed at node {k}") from exc
+        M, b = assemble(traj.phi[k], traj.S[k], traj.mu[k], data.g1[k], data.g3[k])
+        try:
+            y = np.linalg.solve(E_mat / dt + M, E_mat @ y / dt + b)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError(
+                f"viscous backward integrator failed at node {k}") from exc
         y_nodes[k] = y
 
     return AdjointTrajectory(
@@ -263,15 +250,13 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
 
 def viscosity_sweep(system: TumorSystem, time_grid: TimeGrid,
                     traj: StateTrajectory, spec: ControlProblemSpec,
-                    n_values=(10, 100, 1000, 10000),
-                    ode_tol: float | None = None) -> np.ndarray:
+                    n_values=(10, 100, 1000, 10000)) -> np.ndarray:
     """Max node-norm discrepancy between viscous and direct adjoints per n."""
     direct = solve_adjoint(system, time_grid, traj, spec)
     w = system.grid.weights
     out = np.empty(len(n_values))
     for i, n_visc in enumerate(n_values):
-        visc = solve_adjoint_viscous_galerkin(system, time_grid, traj, spec,
-                                              n_visc, ode_tol)
+        visc = solve_adjoint_viscous_galerkin(system, time_grid, traj, spec, n_visc)
         diff2 = (np.sum(w * (visc.q - direct.q) ** 2, axis=1)
                  + np.sum(w * (visc.p - direct.p) ** 2, axis=1)
                  + np.sum(w * (visc.r - direct.r) ** 2, axis=1))

@@ -20,7 +20,8 @@ from .control import project_admissible, projected_gradient_descent
 from .errors import ConfigError, TumorCtrlError
 from .state import (discrete_energy, export_trajectory_csv, max_mu_inf,
                     save_trajectory, solve_forward)
-from .verify import frechet_probe_for_config, run_verification
+from .verify import (frechet_probe_for_config, frechet_slope_result,
+                     run_verification, viscosity_sweep_result)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,11 +60,16 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def cmd_simulate(args) -> int:
+def _problem(args):
+    """Config, system, time grid and initial data of a run."""
     cfg = _load_config(args)
     system = cfg.build_system()
     tg = cfg.build_time_grid()
-    phi0, S0 = cfg.build_initial_data(system)
+    return (cfg, system, tg) + cfg.build_initial_data(system)
+
+
+def cmd_simulate(args) -> int:
+    cfg, system, tg, phi0, S0 = _problem(args)
     u = cfg.build_control(system)
     traj = solve_forward(system, tg, u, phi0, S0, cfg.build_solver_config())
 
@@ -84,10 +90,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    system = cfg.build_system()
-    tg = cfg.build_time_grid()
-    phi0, S0 = cfg.build_initial_data(system)
+    cfg, system, tg, phi0, S0 = _problem(args)
     spec = cfg.build_problem_spec(system)
     u0 = project_admissible(cfg.build_control(system), spec)
     report = projected_gradient_descent(system, tg, u0, phi0, S0, spec,
@@ -123,11 +126,10 @@ def cmd_verify(args) -> int:
     results = run_verification(cfg)
     out = _out_dir(cfg)
     _write_json(out / "verify.json", [r.to_dict() for r in results])
-    all_pass = True
     for r in results:
         _say(args, f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: "
                    f"value={r.value:.6e} threshold={r.threshold:.1e} ({r.detail})")
-        all_pass = all_pass and r.passed
+    all_pass = all(r.passed for r in results)
     _say(args, f"verify: {'all checks passed' if all_pass else 'FAILURES detected'}")
     return EXIT_OK if all_pass else EXIT_VERIFY
 
@@ -144,17 +146,14 @@ def cmd_linearize_check(args) -> int:
     _write_json(out / "frechet_probe.json",
                 {"slope": slope, "eps": list(scales),
                  "remainder": list(remainders)})
-    ok = 1.8 <= slope <= 2.2
+    ok = frechet_slope_result(slope).passed
     _say(args, f"linearize-check: slope={slope:.4f} "
                f"({'within' if ok else 'OUTSIDE'} [1.8, 2.2])")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_adjoint_check(args) -> int:
-    cfg = _load_config(args)
-    system = cfg.build_system()
-    tg = cfg.build_time_grid()
-    phi0, S0 = cfg.build_initial_data(system)
+    cfg, system, tg, phi0, S0 = _problem(args)
     spec = cfg.build_problem_spec(system)
     u = cfg.build_control(system)
     traj = solve_forward(system, tg, u, phi0, S0, cfg.build_solver_config())
@@ -165,12 +164,10 @@ def cmd_adjoint_check(args) -> int:
     np.savetxt(out / "viscosity_sweep.csv",
                np.column_stack([np.asarray(n_values, dtype=float), sweep]),
                delimiter=",", header="n_viscosity,discrepancy", comments="")
-    monotone = bool(np.all(np.diff(sweep) < 0.0))
-    final = float(sweep[-1])
-    ok = monotone and final <= 1e-3
-    _say(args, f"adjoint-check: monotone={monotone} final={final:.3e} "
-               f"({'pass' if ok else 'FAIL'})")
-    return EXIT_OK if ok else EXIT_VERIFY
+    result = viscosity_sweep_result(sweep)
+    _say(args, f"adjoint-check: final={result.value:.3e}, {result.detail} "
+               f"({'pass' if result.passed else 'FAIL'})")
+    return EXIT_OK if result.passed else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .model import Potential, Proliferation
 from .problem import ControlProblemSpec
 from .spectral import FractionalPower, build_basis, midpoint_grid
-from .state import FULLY_IMPLICIT, SEMI_IMPLICIT_P, SolverConfig, TimeGrid
+from .state import SEMI_IMPLICIT_P, SolverConfig, TimeGrid
 from .system import TumorSystem
 
 _OPERATOR_KINDS = ("dirichlet_laplace", "neumann_laplace")
@@ -65,8 +65,7 @@ class ExperimentConfig:
                                  ("C", self.kind_C, 2 * self.tau)):
             basis = build_basis(kind, self.n_modes, grid)
             op[name] = FractionalPower(basis, expo)
-        pot_kind = self.potential.get("kind", "regular")
-        if pot_kind == "regular":
+        if self.potential.get("kind", "regular") == "regular":
             potential = Potential.regular()
         else:
             potential = Potential.logarithmic(c1=float(self.potential.get("c1", 2.0)))
@@ -79,12 +78,13 @@ class ExperimentConfig:
         return TimeGrid(T=self.T, n_steps=self.n_steps)
 
     def build_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            newton_tol=float(self.solver.get("newton_tol", 1e-10)),
-            newton_max_iter=int(self.solver.get("newton_max_iter", 50)),
-            damping=float(self.solver.get("damping", 0.95)),
-            scheme=self.solver.get("scheme", SEMI_IMPLICIT_P),
-            split_f2_explicit=bool(self.solver.get("split_f2_explicit", False)),
+        s = self.solver
+        return _checked("solver", SolverConfig,
+            newton_tol=_number(s, "newton_tol", "solver", 1e-10),
+            newton_max_iter=_number(s, "newton_max_iter", "solver", 50, int),
+            damping=_number(s, "damping", "solver", 0.95),
+            scheme=s.get("scheme", SEMI_IMPLICIT_P),
+            split_f2_explicit=bool(s.get("split_f2_explicit", False)),
         )
 
     def build_initial_data(self, system: TumorSystem):
@@ -125,13 +125,22 @@ class ExperimentConfig:
         return np.tile(profile, (self.n_steps, 1))
 
     def build_optimizer_options(self) -> OptimizerOptions:
-        return OptimizerOptions(
-            step0=float(self.optimizer.get("step0", 1.0)),
-            armijo_c=float(self.optimizer.get("armijo_c", 1e-4)),
-            shrink=float(self.optimizer.get("shrink", 0.5)),
-            max_iters=int(self.optimizer.get("max_iters", 100)),
-            tol=float(self.optimizer.get("tol", 1e-6)),
+        o = self.optimizer
+        return _checked("optimizer", OptimizerOptions,
+            step0=_number(o, "step0", "optimizer", 1.0),
+            armijo_c=_number(o, "armijo_c", "optimizer", 1e-4),
+            shrink=_number(o, "shrink", "optimizer", 0.5),
+            max_iters=_number(o, "max_iters", "optimizer", 100, int),
+            tol=_number(o, "tol", "optimizer", 1e-6),
         )
+
+
+def _checked(section: str, cls, **kwargs):
+    """cls(**kwargs), its ValueError ("<field>: ...") as a ConfigError at section.<field>."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _eval_preset(spec: dict, x: np.ndarray, L: float, path: str) -> np.ndarray:
@@ -141,18 +150,24 @@ def _eval_preset(spec: dict, x: np.ndarray, L: float, path: str) -> np.ndarray:
     if preset not in _FIELD_PRESETS:
         raise ConfigError(f"{path}.preset: unknown preset {preset!r}")
     if preset == "zero":
-        return np.zeros_like(x)
-    if preset == "constant":
-        return np.full_like(x, float(spec.get("value", 0.0)))
-    if preset == "values":
-        vals = np.asarray(spec.get("values", []), dtype=float)
+        vals = np.zeros_like(x)
+    elif preset == "constant":
+        vals = np.full_like(x, _number(spec, "value", path, 0.0))
+    elif preset == "values":
+        try:
+            vals = np.asarray(spec.get("values", []), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.values: expected a list of numbers") from exc
         if vals.shape != x.shape:
             raise ConfigError(f"{path}.values: expected {x.size} entries")
-        return vals
-    amp = float(spec.get("amplitude", 1.0))
-    mode = int(spec.get("mode", 1))
-    arg = mode * math.pi * x / L
-    return amp * (np.sin(arg) if preset == "sine" else np.cos(arg))
+    else:
+        amp = _number(spec, "amplitude", path, 1.0)
+        mode = _number(spec, "mode", path, 1, int)
+        arg = mode * math.pi * x / L
+        vals = amp * (np.sin(arg) if preset == "sine" else np.cos(arg))
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{path}: values must be finite")
+    return vals
 
 
 # ----------------------------------------------------------------------
@@ -160,14 +175,25 @@ def _eval_preset(spec: dict, x: np.ndarray, L: float, path: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _require(mapping, key, path, types, default=None):
+    where = f"{path}.{key}".lstrip(".")
     if key not in mapping:
         if default is not None:
             return default
-        raise ConfigError(f"{path}.{key}: missing required key")
+        raise ConfigError(f"{where}: missing required key")
     val = mapping[key]
     if not isinstance(val, types):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
+        raise ConfigError(f"{where}: expected {types}, got {type(val).__name__}")
     return val
+
+
+def _number(mapping, key, path, default, kind=float):
+    """mapping[key] converted by kind (float or int), default when absent."""
+    where = f"{path}.{key}".lstrip(".")
+    val = mapping.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {val!r}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -178,16 +204,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dom = _require(raw, "domain", "", dict)
     L = float(_require(dom, "L", "domain", num))
     n_points = int(_require(dom, "n_points", "domain", int))
-    if L <= 0 or n_points < 1:
+    if not L > 0 or n_points < 1:
         raise ConfigError("domain: need L > 0 and n_points >= 1")
 
     ops = _require(raw, "operators", "", dict)
     rho = float(_require(ops, "rho", "operators", num))
     sigma = float(_require(ops, "sigma", "operators", num))
     tau = float(_require(ops, "tau", "operators", num))
-    if min(rho, sigma, tau) <= 0:
+    if not min(rho, sigma, tau) > 0:
         raise ConfigError("operators: exponents rho, sigma, tau must be positive")
-    n_modes = int(ops.get("n_modes", n_points))
+    n_modes = _number(ops, "n_modes", "operators", n_points, int)
     if not 1 <= n_modes <= n_points:
         raise ConfigError("operators.n_modes: must be between 1 and n_points")
     kinds = {}
@@ -202,59 +228,63 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             "operators.kind_A: the first operator needs a strictly positive "
             "first eigenvalue (lambda_1 > 0); the constant Neumann mode breaks this")
 
-    pot = raw.get("potential", {"kind": "regular"})
+    pot = _require(raw, "potential", "", dict, {"kind": "regular"})
     pot_kind = _require(pot, "kind", "potential", str, default="regular")
     if pot_kind not in ("regular", "logarithmic"):
         raise ConfigError(f"potential.kind: unknown kind {pot_kind!r}")
-    if pot_kind == "logarithmic" and not float(pot.get("c1", 2.0)) > 1.0:
+    if pot_kind == "logarithmic" and not _number(pot, "c1", "potential", 2.0) > 1.0:
         raise ConfigError("potential.c1: the logarithmic potential requires c1 > 1")
 
-    prolif = raw.get("proliferation", {})
-    if float(prolif.get("p0", 0.5)) < 0 or float(prolif.get("p1", 0.1)) < 0:
+    prolif = _require(raw, "proliferation", "", dict, {})
+    if not (_number(prolif, "p0", "proliferation", 0.5) >= 0
+            and _number(prolif, "p1", "proliferation", 0.1) >= 0):
         raise ConfigError(
             "proliferation: requires a nonnegative bounded rate (p0, p1 >= 0)")
 
-    init = raw.get("initial_data", {})
-    phi0_spec = init.get("phi0", {"preset": "zero"})
-    S0_spec = init.get("S0", {"preset": "zero"})
+    init = _require(raw, "initial_data", "", dict, {})
+    phi0_spec = _require(init, "phi0", "initial_data", dict, {"preset": "zero"})
+    S0_spec = _require(init, "S0", "initial_data", dict, {"preset": "zero"})
 
     tsec = _require(raw, "time", "", dict)
     T = float(_require(tsec, "T", "time", num))
     n_steps = int(_require(tsec, "n_steps", "time", int))
-    if T <= 0 or n_steps < 1:
+    if not T > 0 or n_steps < 1:
         raise ConfigError("time: need T > 0 and n_steps >= 1")
 
-    solver = raw.get("solver", {})
-    scheme = solver.get("scheme", SEMI_IMPLICIT_P)
-    if scheme not in (SEMI_IMPLICIT_P, FULLY_IMPLICIT):
-        raise ConfigError(f"solver.scheme: unknown scheme {scheme!r}")
-
-    cost = raw.get("cost", {})
-    kappas = tuple(float(k) for k in cost.get("kappas", (0, 0, 0, 0, 1.0)))
+    cost = _require(raw, "cost", "", dict, {})
+    try:
+        kappas = tuple(float(k) for k in cost.get("kappas", (0, 0, 0, 0, 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("cost.kappas: expected a list of numbers") from exc
     if len(kappas) != 5:
         raise ConfigError("cost.kappas: expected exactly five weights")
-    if any(k < 0 for k in kappas):
+    if not all(k >= 0 for k in kappas):
         raise ConfigError("cost.kappas: the weights must satisfy kappa_i >= 0")
-    targets = cost.get("targets", {})
-    bounds = cost.get("bounds", {})
-    u_min = float(bounds.get("u_min", -1.0))
-    u_max = float(bounds.get("u_max", 1.0))
-    if u_min > u_max:
+    targets = _require(cost, "targets", "cost", dict, {})
+    bounds = _require(cost, "bounds", "cost", dict, {})
+    u_min = _number(bounds, "u_min", "cost.bounds", -1.0)
+    u_max = _number(bounds, "u_max", "cost.bounds", 1.0)
+    if not u_min <= u_max:
         raise ConfigError("cost.bounds: admissibility requires u_min <= u_max")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         L=L, n_points=n_points, n_modes=n_modes, rho=rho, sigma=sigma, tau=tau,
         kind_A=kinds["A"], kind_B=kinds["B"], kind_C=kinds["C"],
         potential=dict(pot), proliferation=dict(prolif),
         phi0_spec=dict(phi0_spec), S0_spec=dict(S0_spec),
-        T=T, n_steps=n_steps, solver=dict(solver), kappas=kappas,
-        targets={k: dict(v) for k, v in targets.items()},
+        T=T, n_steps=n_steps, solver=dict(_require(raw, "solver", "", dict, {})),
+        kappas=kappas, targets={k: dict(_require(targets, k, "cost.targets", dict))
+                                for k in targets},
         u_min=u_min, u_max=u_max,
-        control_spec=dict(raw.get("control", {"preset": "zero"})),
-        optimizer=dict(raw.get("optimizer", {})),
+        control_spec=dict(_require(raw, "control", "", dict, {"preset": "zero"})),
+        optimizer=dict(_require(raw, "optimizer", "", dict, {})),
         output_dir=str(raw.get("output_dir", "runs/out")),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw, "seed", "", 0, int),
     )
+    # the solver and optimizer settings are checked by the objects they build
+    cfg.build_solver_config()
+    cfg.build_optimizer_options()
+    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -18,13 +18,6 @@ from .state import SolverConfig, StateTrajectory, TimeGrid, solve_forward
 from .system import TumorSystem
 
 
-def control_to_state(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
-                     phi0: np.ndarray, S0: np.ndarray,
-                     cfg: SolverConfig | None = None) -> StateTrajectory:
-    """The control-to-state map u -> (phi, S) (mu rides along in the output)."""
-    return solve_forward(system, time_grid, u, phi0, S0, cfg)
-
-
 def _space_time_sq(weights: np.ndarray, dt: float, v: np.ndarray) -> float:
     return float(dt * np.sum(weights * v * v))
 
@@ -139,8 +132,11 @@ class OptimizerOptions:
     max_backtracks: int = 50
 
     def __post_init__(self):
-        if not (self.step0 > 0 and 0 < self.armijo_c < 1 and 0 < self.shrink < 1):
-            raise ValueError("invalid line-search parameters")
+        # each message starts with the offending field's name
+        for name, ok in (("step0", self.step0 > 0), ("armijo_c", 0 < self.armijo_c < 1),
+                         ("shrink", 0 < self.shrink < 1)):
+            if not ok:
+                raise ValueError(f"{name}: invalid line-search parameter")
 
 
 @dataclass

@@ -20,15 +20,12 @@ class DegenerateSystemError(TumorCtrlError):
 class StepFailureError(TumorCtrlError):
     """Newton did not converge within the iteration budget."""
 
-    def __init__(self, step_index, residual, iterations, message=None):
+    def __init__(self, step_index, residual, iterations):
         self.step_index = step_index
         self.residual = residual
         self.iterations = iterations
-        super().__init__(
-            message
-            or f"step {step_index}: Newton stalled at residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
+        super().__init__(f"step {step_index}: Newton stalled at residual "
+                         f"{residual:.3e} after {iterations} iterations")
 
 
 class SeparationFailureError(TumorCtrlError):

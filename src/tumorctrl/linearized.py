@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError
-from .state import SEMI_IMPLICIT_P, SolverConfig, StateTrajectory, TimeGrid, solve_forward
+from .state import (SEMI_IMPLICIT_P, SolverConfig, StateTrajectory, TimeGrid,
+                    make_step_matrix, solve_forward)
 from .system import TumorSystem
 
 
@@ -28,10 +29,11 @@ class LinearizedTrajectory:
 
 
 def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
-                     traj: StateTrajectory, h: np.ndarray,
-                     cfg: SolverConfig | None = None) -> LinearizedTrajectory:
-    """Solve the linearized system for the control variation h (nodes t_1..t_n)."""
-    cfg = cfg or SolverConfig(scheme=traj.scheme, split_f2_explicit=traj.split_f2_explicit)
+                     traj: StateTrajectory, h: np.ndarray) -> LinearizedTrajectory:
+    """Solve the linearized system for the control variation h (nodes t_1..t_n).
+
+    The scheme and the potential splitting are the trajectory's own.
+    """
     n, N = time_grid.n_steps, system.n_points
     if traj.n_steps != n:
         raise ValueError("trajectory and time grid disagree on the step count")
@@ -44,14 +46,7 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
     xi = np.zeros((n + 1, N))
     zeta = np.zeros((n + 1, N))
 
-    idx = np.arange(N)
-    I_dt = np.eye(N) / dt
-    J0 = np.zeros((3 * N, 3 * N))
-    J0[0:N, 0:N] = system.MA
-    J0[0:N, N:2 * N] = I_dt
-    J0[N:2 * N, 0:N] = -np.eye(N)
-    J0[N:2 * N, N:2 * N] = I_dt + system.MB
-    J0[2 * N:, 2 * N:] = I_dt + system.MC
+    step_matrix = make_step_matrix(system, dt)
 
     for k in range(1, n + 1):
         phi_new, phi_old = traj.phi[k], traj.phi[k - 1]
@@ -64,12 +59,7 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
             df_new = pot.df(phi_new)
             df_old_expl = np.zeros(N)
 
-        J = J0.copy()
-        J[idx, idx] += Pv
-        J[idx, 2 * N + idx] -= Pv
-        J[2 * N + idx, idx] -= Pv
-        J[2 * N + idx, 2 * N + idx] += Pv
-        J[N + idx, N + idx] += df_new
+        J = step_matrix(Pv, df_new, None if semi else P_fun.d1(phi_new) * drive)
 
         rhs1 = xi[k - 1] / dt
         rhs2 = xi[k - 1] / dt - df_old_expl * xi[k - 1]
@@ -78,10 +68,6 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
             carried = P_fun.d1(phi_old) * xi[k - 1] * drive
             rhs1 = rhs1 + carried
             rhs3 = rhs3 - carried
-        else:
-            dP_term = P_fun.d1(phi_new) * drive
-            J[idx, N + idx] -= dP_term
-            J[2 * N + idx, N + idx] += dP_term
 
         try:
             sol = np.linalg.solve(J, np.concatenate([rhs1, rhs2, rhs3]))
@@ -136,7 +122,7 @@ def frechet_remainder_probe(system: TumorSystem, time_grid: TimeGrid,
     cfg = cfg or SolverConfig()
 
     base = solve_forward(system, time_grid, u_bar, phi0, S0, cfg)
-    lin = solve_linearized(system, time_grid, base, h, cfg)
+    lin = solve_linearized(system, time_grid, base, h)
 
     remainders = np.empty(scales.size)
     for i, eps in enumerate(scales):

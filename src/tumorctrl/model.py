@@ -9,12 +9,9 @@ f1(s) = int_0^s (f')^+ monotone nondecreasing and f2 Lipschitz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import DomainViolationError, NoSeparationIntervalError
@@ -29,19 +26,15 @@ class Potential:
     kind: str
     domain: tuple
     c1: float = 2.0
-    F_fn: Optional[Callable] = None
-    f_fn: Optional[Callable] = None
-    df_fn: Optional[Callable] = None
-    d2f_fn: Optional[Callable] = None
 
     def __post_init__(self):
         a, b = self.domain
+        if self.kind not in ("regular", "logarithmic"):
+            raise ValueError(f"unknown potential kind {self.kind!r}")
         if not a < 0.0 < b:
             raise ValueError("the potential domain must contain 0")
         if self.kind == "logarithmic" and not self.c1 > 1.0:
             raise ValueError("the logarithmic potential requires c1 > 1")
-        if self.kind == "custom" and None in (self.F_fn, self.f_fn, self.df_fn, self.d2f_fn):
-            raise ValueError("custom potentials need F, f, f', and f'' callables")
 
     # -- constructors -------------------------------------------------------
 
@@ -52,10 +45,6 @@ class Potential:
     @classmethod
     def logarithmic(cls, c1: float = 2.0) -> "Potential":
         return cls(kind="logarithmic", domain=(-1.0, 1.0), c1=c1)
-
-    @classmethod
-    def custom(cls, F, f, df, d2f, domain) -> "Potential":
-        return cls(kind="custom", domain=tuple(domain), F_fn=F, f_fn=f, df_fn=df, d2f_fn=d2f)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -73,38 +62,30 @@ class Potential:
         s = self._check(s)
         if self.kind == "regular":
             return 0.25 * (s * s - 1.0) ** 2
-        if self.kind == "logarithmic":
-            return (1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s) - self.c1 * s * s
-        return self.F_fn(s)
+        return (1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s) - self.c1 * s * s
 
     def f(self, s):
         s = self._check(s)
         if self.kind == "regular":
             return s**3 - s
-        if self.kind == "logarithmic":
-            return np.log1p(s) - np.log1p(-s) - 2.0 * self.c1 * s
-        return self.f_fn(s)
+        return np.log1p(s) - np.log1p(-s) - 2.0 * self.c1 * s
 
     def df(self, s):
         s = self._check(s)
         if self.kind == "regular":
             return 3.0 * s * s - 1.0
-        if self.kind == "logarithmic":
-            return 2.0 / (1.0 - s * s) - 2.0 * self.c1
-        return self.df_fn(s)
+        return 2.0 / (1.0 - s * s) - 2.0 * self.c1
 
     def d2f(self, s):
         s = self._check(s)
         if self.kind == "regular":
             return 6.0 * s
-        if self.kind == "logarithmic":
-            return 4.0 * s / (1.0 - s * s) ** 2
-        return self.d2f_fn(s)
+        return 4.0 * s / (1.0 - s * s) ** 2
 
     # -- monotone / Lipschitz splitting -------------------------------------
 
     def f1(self, s):
-        """Monotone part: integral of (f')^+ from 0, closed-form for built-ins."""
+        """Monotone part: integral of (f')^+ from 0, in closed form."""
         s = self._check(s)
         if self.kind == "regular":
             star = 1.0 / math.sqrt(3.0)
@@ -113,13 +94,11 @@ class Potential:
                 s > star, s**3 - s + shift,
                 np.where(s < -star, s**3 - s - shift, 0.0),
             )
-        if self.kind == "logarithmic":
-            # f' > 0 exactly for |s| > s* = sqrt(1 - 1/c1); f is odd
-            star = math.sqrt(1.0 - 1.0 / self.c1)
-            f_star = math.log1p(star) - math.log1p(-star) - 2.0 * self.c1 * star
-            fs = self.f(s)
-            return np.where(s > star, fs - f_star, np.where(s < -star, fs + f_star, 0.0))
-        return self._custom_f1(s)
+        # logarithmic: f' > 0 exactly for |s| > s* = sqrt(1 - 1/c1); f is odd
+        star = math.sqrt(1.0 - 1.0 / self.c1)
+        f_star = math.log1p(star) - math.log1p(-star) - 2.0 * self.c1 * star
+        fs = self.f(s)
+        return np.where(s > star, fs - f_star, np.where(s < -star, fs + f_star, 0.0))
 
     def split_f(self, s):
         """Return (f1(s), f2(s)) with f1 + f2 = f."""
@@ -132,63 +111,24 @@ class Potential:
     def df2(self, s):
         return -np.maximum(-self.df(s), 0.0)
 
-    @property
-    def _f1_spline(self) -> CubicSpline:
-        cached = getattr(self, "_f1_spline_cache", None)
-        if cached is None:
-            cached = self._build_f1_spline()
-            object.__setattr__(self, "_f1_spline_cache", cached)
-        return cached
-
-    def _build_f1_spline(self, n_nodes: int = 2001) -> CubicSpline:
-        a, b = self.domain
-        lo = a + 1e-9 * (b - a) if math.isfinite(a) else -10.0
-        hi = b - 1e-9 * (b - a) if math.isfinite(b) else 10.0
-        nodes = np.linspace(lo, hi, n_nodes)
-        pos_df = lambda t: max(float(self.df_fn(t)), 0.0)
-        vals = np.empty(n_nodes)
-        i0 = int(np.searchsorted(nodes, 0.0))
-        vals[i0], _ = quad(pos_df, 0.0, nodes[i0], epsabs=1e-10, epsrel=1e-9)
-        for i in range(i0 + 1, n_nodes):
-            inc, _ = quad(pos_df, nodes[i - 1], nodes[i], epsabs=1e-11, epsrel=1e-9)
-            vals[i] = vals[i - 1] + inc
-        for i in range(i0 - 1, -1, -1):
-            inc, _ = quad(pos_df, nodes[i], nodes[i + 1], epsabs=1e-11, epsrel=1e-9)
-            vals[i] = vals[i + 1] - inc
-        vals -= CubicSpline(nodes, vals)(0.0)
-        return CubicSpline(nodes, vals)
-
-    def _custom_f1(self, s):
-        spline = self._f1_spline
-        lo, hi = spline.x[0], spline.x[-1]
-        if np.any(s < lo) or np.any(s > hi):
-            raise DomainViolationError("argument outside the cached splitting range")
-        return spline(s)
-
 
 @dataclass(frozen=True)
 class Proliferation:
     """Nonnegative bounded Lipschitz proliferation rate, C^2 on the real line.
 
-    Default closed form: P(s) = p0 / (1 + s^2) + p1 with p0, p1 >= 0.
+    Closed form: P(s) = p0 / (1 + s^2) + p1 with p0, p1 >= 0.
     """
 
     p0: float = 0.5
     p1: float = 0.1
-    eval_fn: Optional[Callable] = None
-    d1_fn: Optional[Callable] = None
-    d2_fn: Optional[Callable] = None
-    sup_bound: Optional[float] = None
 
     def __post_init__(self):
-        if self.eval_fn is None and (self.p0 < 0.0 or self.p1 < 0.0):
+        if self.p0 < 0.0 or self.p1 < 0.0:
             raise ValueError("p0 and p1 must be nonnegative")
-        if self.sup_bound is None:
-            object.__setattr__(self, "sup_bound", self.p0 + self.p1)
 
-    @classmethod
-    def rational(cls, p0: float, p1: float) -> "Proliferation":
-        return cls(p0=p0, p1=p1)
+    @property
+    def sup_bound(self) -> float:
+        return self.p0 + self.p1
 
     @classmethod
     def constant(cls, value: float) -> "Proliferation":
@@ -198,27 +138,16 @@ class Proliferation:
     def zero(cls) -> "Proliferation":
         return cls(p0=0.0, p1=0.0)
 
-    @classmethod
-    def custom(cls, eval_fn, d1_fn, d2_fn, sup_bound) -> "Proliferation":
-        return cls(p0=0.0, p1=0.0, eval_fn=eval_fn, d1_fn=d1_fn, d2_fn=d2_fn,
-                   sup_bound=sup_bound)
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        if self.eval_fn is not None:
-            return self.eval_fn(s)
         return self.p0 / (1.0 + s * s) + self.p1
 
     def d1(self, s):
         s = np.asarray(s, dtype=float)
-        if self.d1_fn is not None:
-            return self.d1_fn(s)
         return -2.0 * self.p0 * s / (1.0 + s * s) ** 2
 
     def d2(self, s):
         s = np.asarray(s, dtype=float)
-        if self.d2_fn is not None:
-            return self.d2_fn(s)
         return self.p0 * (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
 
 

@@ -23,7 +23,6 @@ class ControlProblemSpec:
     S_Omega: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    R_ball: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kappas", np.asarray(self.kappas, dtype=float))

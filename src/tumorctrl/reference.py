@@ -10,11 +10,14 @@ being measured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Potential, Proliferation
+from .spectral import FractionalPower, build_basis, midpoint_grid
+from .system import TumorSystem
 
 
 def rk4(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -149,6 +152,24 @@ class SingleModeReduction:
         r = sol[::-1, 1]
         q = np.array([q_algebraic(t, zv, rv) for t, zv, rv in zip(times, z, r)])
         return times, q, z - q, r
+
+
+def single_mode_system(a: float, b: float, c: float, potential: Potential,
+                       proliferation: Proliferation):
+    """One-point system whose operators are multiplication by a, b, c, paired
+    with the SingleModeReduction that integrates it as an ODE system."""
+    grid = midpoint_grid(1, math.pi)
+    vec = np.array([[1.0 / math.sqrt(math.pi)]])
+
+    def op(lam):
+        basis = build_basis("custom", 1, grid, eigenvalues=np.array([lam]),
+                            eigvecs=vec)
+        return FractionalPower(basis, 1.0)
+
+    system = TumorSystem(grid=grid, op_A=op(a), op_B=op(b), op_C=op(c),
+                         potential=potential, proliferation=proliferation)
+    return system, SingleModeReduction(a=a, b=b, c=c, potential=potential,
+                                       proliferation=proliferation)
 
 
 def exponential_integral_r(c: float, g3_fn, T: float, times: np.ndarray,

@@ -210,10 +210,6 @@ def graph_norm(fp: FractionalPower, v: Field) -> float:
     return float(np.sqrt(norm(v) ** 2 + norm(apply_power(fp, v)) ** 2))
 
 
-def assemble_power_matrix(fp: FractionalPower) -> np.ndarray:
-    return fp.matrix.copy()
-
-
 def solve_power_plus_mult(fp: FractionalPower, m: Field, rhs: Field) -> Field:
     """Solve (A^p + m) x = rhs for a nonnegative multiplier field m."""
     _check_same_grid(m, rhs)

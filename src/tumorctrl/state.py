@@ -55,10 +55,15 @@ class SolverConfig:
     split_f2_explicit: bool = False  # stabilized variant: f1 implicit, f2 explicit
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0 or not (0.0 < self.damping <= 1.0):
-            raise ValueError("tolerances and damping must be positive")
+        # each message starts with the offending field's name
+        if not self.newton_tol > 0.0:
+            raise ValueError("newton_tol: must be positive")
+        if self.newton_max_iter < 0:
+            raise ValueError("newton_max_iter: must be nonnegative")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping: must lie in (0, 1]")
         if self.scheme not in (SEMI_IMPLICIT_P, FULLY_IMPLICIT):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"scheme: unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,16 @@ class StateTrajectory:
 
 def initial_mu(system: TumorSystem, phi0: np.ndarray, S0: np.ndarray) -> np.ndarray:
     """Solve (A^{2rho} + P(phi0)) mu(0) = P(phi0) S0."""
-    _check_phi_domain(system, phi0, "phi0")
+    _check_phi_domain(system, phi0)
     P0 = system.proliferation(phi0)
     rhs = Field(P0 * S0, system.grid)
     sol = solve_power_plus_mult(system.op_A, Field(P0, system.grid), rhs)
     return sol.values
 
 
-def _check_phi_domain(system: TumorSystem, phi: np.ndarray, name: str):
+def _check_phi_domain(system: TumorSystem, phi: np.ndarray):
     # raises DomainViolationError via the potential's own guard
     system.potential.f(phi if np.ndim(phi) else float(phi))
-    del name
 
 
 def _f_and_derivative(system, cfg, phi_new, phi_old):
@@ -116,27 +120,51 @@ def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
     return max(alpha, 0.0)
 
 
-def step(system: TumorSystem, cfg: SolverConfig, dt: float,
-         prev: tuple, u_k: np.ndarray, step_index: int = 0) -> tuple:
-    """One implicit Euler step; returns (mu, phi, S, newton_iterations)."""
-    mu_p, phi_p, S_p = (np.asarray(v, dtype=float) for v in prev)
-    _check_phi_domain(system, phi_p, "phi")
-    N = system.n_points
-    w = system.grid.weights
-    P_fun = system.proliferation
-    semi = cfg.scheme == SEMI_IMPLICIT_P
-    P_old = P_fun(phi_p)
+def make_step_matrix(system: TumorSystem, dt: float):
+    """Step matrix of the implicit Euler step in the unknowns (mu, phi, S).
 
+    The constant blocks (A^{2rho}, I/dt, -I, I/dt + B^{2sigma}, I/dt + C^{2tau})
+    are assembled once; the returned ``build(P, df, dP_drive=None)`` adds to a
+    copy the diagonal couplings +-P, f' on the phi-phi block and, for the fully
+    implicit scheme, the phi column P'(phi) (S - mu).  The matrix is both the
+    Newton Jacobian of the forward step and the linearized step operator.
+    """
+    N = system.n_points
     idx = np.arange(N)
     I_dt = np.eye(N) / dt
-
-    # constant part of the Jacobian
     J0 = np.zeros((3 * N, 3 * N))
     J0[0:N, 0:N] = system.MA
     J0[0:N, N:2 * N] = I_dt
     J0[N:2 * N, 0:N] = -np.eye(N)
     J0[N:2 * N, N:2 * N] = I_dt + system.MB
     J0[2 * N:, 2 * N:] = I_dt + system.MC
+
+    def build(P, df, dP_drive=None):
+        J = J0.copy()
+        J[idx, idx] += P
+        J[idx, 2 * N + idx] -= P
+        J[2 * N + idx, idx] -= P
+        J[2 * N + idx, 2 * N + idx] += P
+        J[N + idx, N + idx] += df
+        if dP_drive is not None:
+            J[idx, N + idx] -= dP_drive
+            J[2 * N + idx, N + idx] += dP_drive
+        return J
+
+    return build
+
+
+def step(system: TumorSystem, cfg: SolverConfig, dt: float,
+         prev: tuple, u_k: np.ndarray, step_index: int = 0) -> tuple:
+    """One implicit Euler step; returns (mu, phi, S, newton_iterations)."""
+    mu_p, phi_p, S_p = (np.asarray(v, dtype=float) for v in prev)
+    _check_phi_domain(system, phi_p)
+    N = system.n_points
+    w = system.grid.weights
+    P_fun = system.proliferation
+    semi = cfg.scheme == SEMI_IMPLICIT_P
+    P_old = P_fun(phi_p)
+    jacobian = make_step_matrix(system, dt)
 
     mu, phi, S = mu_p.copy(), phi_p.copy(), S_p.copy()
 
@@ -166,16 +194,7 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
 
         Pv = P_old if semi else P_fun(phi)
         _, df_val = _f_and_derivative(system, cfg, phi, phi_p)
-        J = J0.copy()
-        J[idx, idx] += Pv
-        J[idx, 2 * N + idx] -= Pv
-        J[2 * N + idx, idx] -= Pv
-        J[2 * N + idx, 2 * N + idx] += Pv
-        J[N + idx, N + idx] += df_val
-        if not semi:
-            dP_term = P_fun.d1(phi) * (S - mu)
-            J[idx, N + idx] -= dP_term
-            J[2 * N + idx, N + idx] += dP_term
+        J = jacobian(Pv, df_val, None if semi else P_fun.d1(phi) * (S - mu))
 
         delta = np.linalg.solve(J, -np.concatenate([r1, r2, r3]))
         alpha = _boundary_step_fraction(system, cfg, phi, delta[N:2 * N])
@@ -205,7 +224,9 @@ def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     u = np.broadcast_to(np.asarray(u, dtype=float), (n, N))
     phi0 = np.asarray(phi0, dtype=float)
     S0 = np.asarray(S0, dtype=float)
-    _check_phi_domain(system, phi0, "phi0")
+    for name, value in (("u", u), ("phi0", phi0), ("S0", S0)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
     mu = np.empty((n + 1, N))
     phi = np.empty((n + 1, N))
@@ -251,12 +272,11 @@ def pde_residuals(system: TumorSystem, traj: StateTrajectory, u: np.ndarray) -> 
     r1 = dphi + traj.mu[1:] @ system.MA.T - react
     r2 = dphi + traj.phi[1:] @ system.MB.T + _f_values(system, traj) - traj.mu[1:]
     r3 = dS + traj.S[1:] @ system.MC.T + react - u
-    out = np.stack([
+    return np.stack([
         np.sqrt(np.sum(w * r1 * r1, axis=1)),
         np.sqrt(np.sum(w * r2 * r2, axis=1)),
         np.sqrt(np.sum(w * r3 * r3, axis=1)),
     ], axis=1)
-    return out
 
 
 def discrete_energy(system: TumorSystem, traj: StateTrajectory) -> np.ndarray:

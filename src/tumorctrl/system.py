@@ -61,9 +61,3 @@ class TumorSystem:
     @cached_property
     def MC_half(self) -> np.ndarray:
         return self.op_C.half().matrix
-
-    def weighted_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * v * v)))
-
-    def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.grid.weights * u * v))

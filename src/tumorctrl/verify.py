@@ -7,7 +7,7 @@ them into a report and an exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .control import (OptimizerOptions, fd_gradient_check,
 from .linearized import frechet_remainder_probe, solve_linearized
 from .model import Potential, Proliferation, separation_interval
 from .problem import ControlProblemSpec
-from .reference import SingleModeReduction
-from .spectral import (Field, FractionalPower, build_basis, midpoint_grid,
-                       norm, solve_power_plus_mult)
+from .reference import single_mode_system
+from .spectral import Field, norm, solve_power_plus_mult
 from .state import (FULLY_IMPLICIT, SolverConfig, TimeGrid,
                     discrete_energy, energy_identity_residual, max_mu_inf,
                     solve_forward)
@@ -87,99 +86,70 @@ def check_operator_algebra(system: TumorSystem, seed: int,
                        f"max relative defect over {n_fields} random fields")
 
 
-def _single_mode_setup(cfg: ExperimentConfig):
-    grid = midpoint_grid(1, math.pi)
-    eigvec = np.array([[1.0 / math.sqrt(math.pi)]])
-    sys_kwargs = {}
-    for name, lam, expo in (("op_A", 1.2, 2 * cfg.rho), ("op_B", 0.9, 2 * cfg.sigma),
-                            ("op_C", 0.7, 2 * cfg.tau)):
-        basis = build_basis("custom", 1, grid, eigenvalues=np.array([lam]),
-                            eigvecs=eigvec)
-        sys_kwargs[name] = FractionalPower(basis, expo)
-    if cfg.potential.get("kind", "regular") == "logarithmic":
-        potential = Potential.logarithmic(c1=float(cfg.potential.get("c1", 2.0)))
-    else:
-        potential = Potential.regular()
-    prolif = Proliferation(p0=float(cfg.proliferation.get("p0", 0.5)),
-                           p1=float(cfg.proliferation.get("p1", 0.1)))
-    system = TumorSystem(grid=grid, potential=potential, proliferation=prolif,
-                         **sys_kwargs)
-    reduction = SingleModeReduction(
-        a=1.2 ** (2 * cfg.rho), b=0.9 ** (2 * cfg.sigma), c=0.7 ** (2 * cfg.tau),
-        potential=potential, proliferation=prolif)
-    return system, reduction
+def _single_mode_control(t):
+    return 0.3 * math.cos(2.0 * t)
 
 
-def check_single_mode_state(cfg: ExperimentConfig, T: float = 0.5,
-                            dt: float = 1e-3) -> CheckResult:
-    system, red = _single_mode_setup(cfg)
-    u_fn = lambda t: 0.3 * math.cos(2.0 * t)
-    phi0, S0 = 0.2, 0.4
+def _single_mode_run(cfg: ExperimentConfig, system: TumorSystem, T: float,
+                     dt: float, scfg: SolverConfig | None = None):
+    """Forward run of the single-mode system and its RK4 reference state.
+
+    The operators are the eigenvalues 1.2, 0.9, 0.7 raised to the configured
+    exponents; potential and proliferation are the configured system's.
+    Returns (system, reduction, time grid, trajectory, reference state).
+    """
+    system, red = single_mode_system(1.2 ** (2 * cfg.rho), 0.9 ** (2 * cfg.sigma),
+                                     0.7 ** (2 * cfg.tau), system.potential,
+                                     system.proliferation)
     tg = TimeGrid(T, int(round(T / dt)))
-    u = np.array([[u_fn(t)] for t in tg.times[1:]])
-    traj = solve_forward(system, tg, u, np.array([phi0]), np.array([S0]))
-    ref_t, ref_mu, ref_phi, ref_S = red.solve_state(phi0, S0, u_fn, T)
+    u = np.array([[_single_mode_control(t)] for t in tg.times[1:]])
+    traj = solve_forward(system, tg, u, np.array([0.2]), np.array([0.4]), scfg)
+    return system, red, tg, traj, red.solve_state(0.2, 0.4, _single_mode_control, T)
+
+
+def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs,
+                        dt: float) -> CheckResult:
+    """Largest relative error of node values against the interpolated references."""
     err = 0.0
-    for num, ref in ((traj.mu[:, 0], ref_mu), (traj.phi[:, 0], ref_phi),
-                     (traj.S[:, 0], ref_S)):
+    for num, ref in pairs:
         ref_nodes = np.interp(tg.times, ref_t, ref)
         err = max(err, float(np.max(np.abs(num - ref_nodes))
                              / max(np.max(np.abs(ref_nodes)), 1e-12)))
-    return CheckResult("single_mode_state", err <= 2e-2, err, 2e-2,
+    return CheckResult(name, err <= 2e-2, err, 2e-2,
                        f"max relative error vs RK4 reference at dt={dt}")
 
 
-def check_single_mode_linearized(cfg: ExperimentConfig, T: float = 0.5,
-                                 dt: float = 1e-3) -> CheckResult:
-    system, red = _single_mode_setup(cfg)
-    u_fn = lambda t: 0.3 * math.cos(2.0 * t)
+def check_single_mode_state(cfg: ExperimentConfig, system: TumorSystem,
+                            T: float = 0.5, dt: float = 1e-3) -> CheckResult:
+    _, _, tg, traj, (ref_t, ref_mu, ref_phi, ref_S) = _single_mode_run(cfg, system, T, dt)
+    return _single_mode_result("single_mode_state", tg, ref_t, (
+        (traj.mu[:, 0], ref_mu), (traj.phi[:, 0], ref_phi), (traj.S[:, 0], ref_S)), dt)
+
+
+def check_single_mode_linearized(cfg: ExperimentConfig, system: TumorSystem,
+                                 T: float = 0.5, dt: float = 1e-3) -> CheckResult:
+    system, red, tg, traj, state_ref = _single_mode_run(
+        cfg, system, T, dt, SolverConfig(scheme=FULLY_IMPLICIT))
     h_fn = lambda t: math.sin(t) + 0.5
-    phi0, S0 = 0.2, 0.4
-    tg = TimeGrid(T, int(round(T / dt)))
-    u = np.array([[u_fn(t)] for t in tg.times[1:]])
     h = np.array([[h_fn(t)] for t in tg.times[1:]])
-    scfg = SolverConfig(scheme=FULLY_IMPLICIT)
-    traj = solve_forward(system, tg, u, np.array([phi0]), np.array([S0]), scfg)
-    lin = solve_linearized(system, tg, traj, h, scfg)
-    state_ref = red.solve_state(phi0, S0, u_fn, T)
+    lin = solve_linearized(system, tg, traj, h)
     ref_t, _, ref_xi, ref_zeta = red.solve_linearized(state_ref, h_fn, T)
-    err = 0.0
-    for num, ref in ((lin.xi[:, 0], ref_xi), (lin.zeta[:, 0], ref_zeta)):
-        ref_nodes = np.interp(tg.times, ref_t, ref)
-        err = max(err, float(np.max(np.abs(num - ref_nodes))
-                             / max(np.max(np.abs(ref_nodes)), 1e-12)))
-    return CheckResult("single_mode_linearized", err <= 2e-2, err, 2e-2,
-                       f"max relative error vs RK4 reference at dt={dt}")
+    return _single_mode_result("single_mode_linearized", tg, ref_t, (
+        (lin.xi[:, 0], ref_xi), (lin.zeta[:, 0], ref_zeta)), dt)
 
 
-def check_single_mode_adjoint(cfg: ExperimentConfig, T: float = 0.5,
-                              dt: float = 1e-3) -> CheckResult:
-    system, red = _single_mode_setup(cfg)
-    u_fn = lambda t: 0.3 * math.cos(2.0 * t)
-    phi0, S0 = 0.2, 0.4
-    tg = TimeGrid(T, int(round(T / dt)))
-    n = tg.n_steps
-    u = np.array([[u_fn(t)] for t in tg.times[1:]])
-    traj = solve_forward(system, tg, u, np.array([phi0]), np.array([S0]))
-    spec = _zero_spec(n, 1, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+def check_single_mode_adjoint(cfg: ExperimentConfig, system: TumorSystem,
+                              T: float = 0.5, dt: float = 1e-3) -> CheckResult:
+    system, red, tg, traj, state_ref = _single_mode_run(cfg, system, T, dt)
+    spec = _zero_spec(tg.n_steps, 1, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
     adj = solve_adjoint(system, tg, traj, spec)
-
-    state_ref = red.solve_state(phi0, S0, u_fn, T)
     ref_t, _, ref_phi, ref_S = state_ref
-    g1_fn = lambda t: float(np.interp(t, ref_t, ref_phi))
-    g3_fn = lambda t: float(np.interp(t, ref_t, ref_S))
-    g2 = 0.5 * float(ref_phi[-1])
-    g4 = 0.5 * float(ref_S[-1])
-    adj_t, ref_q, ref_p, ref_r = red.solve_adjoint(state_ref, g1_fn, g3_fn,
-                                                   g2, g4, T)
-    err = 0.0
-    for num, ref in ((adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p),
-                     (adj.r[:, 0], ref_r)):
-        ref_nodes = np.interp(tg.times, adj_t, ref)
-        err = max(err, float(np.max(np.abs(num - ref_nodes))
-                             / max(np.max(np.abs(ref_nodes)), 1e-12)))
-    return CheckResult("single_mode_adjoint", err <= 2e-2, err, 2e-2,
-                       f"max relative error vs RK4 reference at dt={dt}")
+    adj_t, ref_q, ref_p, ref_r = red.solve_adjoint(
+        state_ref, lambda t: float(np.interp(t, ref_t, ref_phi)),
+        lambda t: float(np.interp(t, ref_t, ref_S)),
+        0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]), T)
+    return _single_mode_result("single_mode_adjoint", tg, adj_t, (
+        (adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p), (adj.r[:, 0], ref_r)), dt)
 
 
 def _generic_run_data(system: TumorSystem, n_steps: int, T: float):
@@ -200,15 +170,12 @@ def check_energy_identity(cfg: ExperimentConfig, system: TumorSystem) -> CheckRe
     traj2 = solve_forward(system, tg2, u2, phi0, S0)
     res_fine = float(np.max(energy_identity_residual(system, traj2, u2)))
     ratio = res_coarse / max(res_fine, 1e-300)
-    passed = 1.6 <= ratio <= 2.4
-    return CheckResult("energy_identity_rate", passed, ratio, 2.4,
+    return CheckResult("energy_identity_rate", 1.6 <= ratio <= 2.4, ratio, 2.4,
                        f"residual ratio under dt halving ({res_coarse:.3e} -> {res_fine:.3e})")
 
 
 def check_energy_dissipation(cfg: ExperimentConfig, system: TumorSystem) -> CheckResult:
-    quiet = TumorSystem(grid=system.grid, op_A=system.op_A, op_B=system.op_B,
-                        op_C=system.op_C, potential=system.potential,
-                        proliferation=Proliferation.zero())
+    quiet = replace(system, proliferation=Proliferation.zero())
     tg, _, phi0, S0 = _generic_run_data(quiet, cfg.n_steps, cfg.T)
     traj = solve_forward(quiet, tg, np.zeros((cfg.n_steps, quiet.n_points)),
                          phi0, S0)
@@ -239,10 +206,7 @@ def frechet_probe_for_config(cfg: ExperimentConfig, system: TumorSystem,
     whole epsilon sweep; spatially rough directions are crushed by the
     diffusion operators and would bury the signal.
     """
-    probe_sys = TumorSystem(grid=system.grid, op_A=system.op_A,
-                            op_B=system.op_B, op_C=system.op_C,
-                            potential=system.potential,
-                            proliferation=Proliferation(p0=2.0, p1=0.5))
+    probe_sys = replace(system, proliferation=Proliferation(p0=2.0, p1=0.5))
     rng = np.random.default_rng(seed + 1)
     tg = TimeGrid(1.0, 500)
     x = system.grid.points
@@ -253,55 +217,59 @@ def frechet_probe_for_config(cfg: ExperimentConfig, system: TumorSystem,
     return frechet_remainder_probe(probe_sys, tg, u_bar, h, phi0, S0, cfg=scfg)
 
 
+def frechet_slope_result(slope: float) -> CheckResult:
+    """Pass rule of the derivative probe: the remainder slope lies in [1.8, 2.2]."""
+    return CheckResult("frechet_slope", 1.8 <= slope <= 2.2, slope, 2.2,
+                       "log-log slope of the derivative remainder")
+
+
 def check_frechet_slope(cfg: ExperimentConfig, system: TumorSystem,
                         seed: int) -> CheckResult:
     _, _, slope = frechet_probe_for_config(cfg, system, seed)
-    passed = 1.8 <= slope <= 2.2
-    return CheckResult("frechet_slope", passed, slope, 2.2,
-                       "log-log slope of the derivative remainder")
+    return frechet_slope_result(slope)
+
+
+def _gradient_gap(cfg: ExperimentConfig, system: TumorSystem, seed: int,
+                  kappas, eps: float) -> float:
+    """Relative gap between a central difference of the reduced cost and the
+    adjoint gradient along a random direction."""
+    rng = np.random.default_rng(seed)
+    tg, u, phi0, S0 = _generic_run_data(system, cfg.n_steps, cfg.T)
+    spec = _zero_spec(cfg.n_steps, system.n_points, kappas=kappas)
+    h = rng.standard_normal(u.shape).clip(-1, 1)
+    _, errors = fd_gradient_check(system, tg, u, h, phi0, S0, spec, eps_list=(eps,))
+    return float(errors[0])
 
 
 def check_gradient_consistency(cfg: ExperimentConfig, system: TumorSystem,
                                seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 2)
-    tg, _, phi0, S0 = _generic_run_data(system, cfg.n_steps, cfg.T)
-    n, N = cfg.n_steps, system.n_points
-    spec = _zero_spec(n, N, kappas=(1, 1, 1, 1, 1))
-    u = 0.2 * np.ones((n, N))
-    h = rng.standard_normal((n, N)).clip(-1, 1)
-    _, errors = fd_gradient_check(system, tg, u, h, phi0, S0, spec,
-                                  eps_list=(1e-3,))
-    err = float(errors[0])
+    err = _gradient_gap(cfg, system, seed + 2, (1, 1, 1, 1, 1), 1e-3)
     return CheckResult("gradient_consistency", err <= 1e-2, err, 1e-2,
                        "relative gap between central differences and the adjoint gradient")
 
 
 def check_gradient_quadratic(cfg: ExperimentConfig, system: TumorSystem,
                              seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
-    tg, _, phi0, S0 = _generic_run_data(system, cfg.n_steps, cfg.T)
-    n, N = cfg.n_steps, system.n_points
-    spec = _zero_spec(n, N, kappas=(0, 0, 0, 0, 1.0))
-    u = 0.2 * np.ones((n, N))
-    h = rng.standard_normal((n, N)).clip(-1, 1)
-    _, errors = fd_gradient_check(system, tg, u, h, phi0, S0, spec,
-                                  eps_list=(1e-2,))
-    err = float(errors[0])
+    err = _gradient_gap(cfg, system, seed + 3, (0, 0, 0, 0, 1.0), 1e-2)
     return CheckResult("gradient_quadratic", err <= 1e-8, err, 1e-8,
                        "purely quadratic cost: central differences are exact")
+
+
+def viscosity_sweep_result(sweep: np.ndarray) -> CheckResult:
+    """Pass rule of the viscosity sweep: strictly decreasing discrepancies
+    that end at or below 1e-3."""
+    monotone = bool(np.all(np.diff(sweep) < 0.0))
+    final = float(sweep[-1])
+    return CheckResult("viscosity_sweep", monotone and final <= 1e-3, final, 1e-3,
+                       f"discrepancies {np.array2string(sweep, precision=3)}; "
+                       f"monotone={monotone}")
 
 
 def check_viscosity_sweep(cfg: ExperimentConfig, system: TumorSystem) -> CheckResult:
     tg, u, phi0, S0 = _generic_run_data(system, cfg.n_steps, cfg.T)
     traj = solve_forward(system, tg, u, phi0, S0)
     spec = _zero_spec(cfg.n_steps, system.n_points, kappas=(1, 0, 1, 0, 1))
-    sweep = viscosity_sweep(system, tg, traj, spec)
-    monotone = bool(np.all(np.diff(sweep) < 0.0))
-    final = float(sweep[-1])
-    passed = monotone and final <= 1e-3
-    return CheckResult("viscosity_sweep", passed, final, 1e-3,
-                       f"discrepancies {np.array2string(sweep, precision=3)}; "
-                       f"monotone={monotone}")
+    return viscosity_sweep_result(viscosity_sweep(system, tg, traj, spec))
 
 
 def check_stationarity(cfg: ExperimentConfig, system: TumorSystem) -> CheckResult:
@@ -311,26 +279,18 @@ def check_stationarity(cfg: ExperimentConfig, system: TumorSystem) -> CheckResul
     report = projected_gradient_descent(
         system, tg, 0.5 * np.ones((n, N)), phi0, S0, spec,
         OptimizerOptions(max_iters=20, tol=1e-8))
-    final_adj = report.adjoint_final
-    stat = stationarity_residual(system, tg, report.u_final, final_adj, spec)
+    stat = stationarity_residual(system, tg, report.u_final, report.adjoint_final, spec)
     passed = stat <= 1e-8 and report.status == "converged"
     return CheckResult("stationarity", passed, stat, 1e-8,
                        f"projected gradient status={report.status}, "
                        f"iterations={report.n_iterations}")
 
 
-def check_separation(cfg: ExperimentConfig) -> CheckResult:
-    grid = midpoint_grid(cfg.n_points, cfg.L)
-    ops = {}
-    for name, kind, expo in (("op_A", cfg.kind_A, 2 * cfg.rho),
-                             ("op_B", cfg.kind_B, 2 * cfg.sigma),
-                             ("op_C", cfg.kind_C, 2 * cfg.tau)):
-        ops[name] = FractionalPower(build_basis(kind, cfg.n_modes, grid), expo)
+def check_separation(cfg: ExperimentConfig, system: TumorSystem) -> CheckResult:
     potential = Potential.logarithmic(c1=2.0)
-    system = TumorSystem(grid=grid, potential=potential,
-                         proliferation=Proliferation(), **ops)
+    system = replace(system, potential=potential, proliferation=Proliferation())
     tg, _, _, S0 = _generic_run_data(system, cfg.n_steps, cfg.T)
-    phi0 = 0.5 * np.sin(math.pi * grid.points / cfg.L)
+    phi0 = 0.5 * np.sin(math.pi * system.grid.points / cfg.L)
     u = 0.3 * np.ones((cfg.n_steps, cfg.n_points))
     traj = solve_forward(system, tg, u, phi0, S0)
     margin = float(min(np.min(1.0 - traj.phi), np.min(traj.phi + 1.0)))
@@ -350,9 +310,9 @@ def run_verification(cfg: ExperimentConfig) -> list:
     system = cfg.build_system()
     results = [
         check_operator_algebra(system, cfg.seed),
-        check_single_mode_state(cfg),
-        check_single_mode_linearized(cfg),
-        check_single_mode_adjoint(cfg),
+        check_single_mode_state(cfg, system),
+        check_single_mode_linearized(cfg, system),
+        check_single_mode_adjoint(cfg, system),
         check_energy_identity(cfg, system),
         check_energy_dissipation(cfg, system),
         check_frechet_slope(cfg, system, cfg.seed),
@@ -360,6 +320,6 @@ def run_verification(cfg: ExperimentConfig) -> list:
         check_gradient_quadratic(cfg, system, cfg.seed),
         check_viscosity_sweep(cfg, system),
         check_stationarity(cfg, system),
-        check_separation(cfg),
+        check_separation(cfg, system),
     ]
     return results

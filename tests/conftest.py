@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tumorctrl import (FractionalPower, Potential, Proliferation, TumorSystem,
-                       build_basis, midpoint_grid)
+                       build_basis, midpoint_grid, reference)
 
 
 def build_system(n_points=16, L=math.pi, rho=0.5, sigma=0.6, tau=0.5,
@@ -21,24 +21,10 @@ def build_system(n_points=16, L=math.pi, rho=0.5, sigma=0.6, tau=0.5,
     )
 
 
-def single_mode_system(a=1.2, b=0.9, c=0.7, potential=None, proliferation=None):
-    """One-point grid with custom scalar operators (exponent 1 on eigenvalue
-    a means the operator is literally multiplication by a)."""
-    grid = midpoint_grid(1, math.pi)
-    vec = np.array([[1.0 / math.sqrt(math.pi)]])
-
-    def op(lam):
-        basis = build_basis("custom", 1, grid, eigenvalues=np.array([lam]),
-                            eigvecs=vec)
-        return FractionalPower(basis, 1.0)
-
-    from tumorctrl.reference import SingleModeReduction
-    pot = potential or Potential.regular()
-    pro = proliferation or Proliferation()
-    system = TumorSystem(grid=grid, op_A=op(a), op_B=op(b), op_C=op(c),
-                         potential=pot, proliferation=pro)
-    return system, SingleModeReduction(a=a, b=b, c=c, potential=pot,
-                                       proliferation=pro)
+def single_mode_system(proliferation=None):
+    """The single-mode system with operators 1.2, 0.9, 0.7 and the regular potential."""
+    return reference.single_mode_system(1.2, 0.9, 0.7, Potential.regular(),
+                                        proliferation or Proliferation())
 
 
 @pytest.fixture(scope="session")

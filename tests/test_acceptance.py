@@ -25,7 +25,7 @@ from tumorctrl import (FULLY_IMPLICIT, Field, FractionalPower,
                        stationarity_residual, viscosity_sweep, y_norm)
 from tumorctrl.adjoint import solve_adjoint
 from tumorctrl.problem import ControlProblemSpec
-from tumorctrl.reference import SingleModeReduction
+from tumorctrl.reference import single_mode_system
 from tumorctrl.verify import run_verification, smooth_probe_controls
 
 pytestmark = pytest.mark.acceptance
@@ -116,19 +116,8 @@ def test_criterion_01_operator_algebra(system):
 
 
 def _single_mode_errors(dt: float):
-    grid = midpoint_grid(1, L)
-    vec = np.array([[1.0 / math.sqrt(L)]])
-
-    def op(lam):
-        basis = build_basis("custom", 1, grid, eigenvalues=np.array([lam]),
-                            eigvecs=vec)
-        return FractionalPower(basis, 1.0)
-
-    pot, pro = Potential.regular(), Proliferation()
-    system = TumorSystem(grid=grid, op_A=op(1.2), op_B=op(0.9), op_C=op(0.7),
-                         potential=pot, proliferation=pro)
-    red = SingleModeReduction(a=1.2, b=0.9, c=0.7, potential=pot,
-                              proliferation=pro)
+    system, red = single_mode_system(1.2, 0.9, 0.7, Potential.regular(),
+                                     Proliferation())
     T = 1.0
     tg = TimeGrid(T, int(round(T / dt)))
     u_fn = lambda t: 0.3 * math.cos(2.0 * t)
@@ -138,7 +127,7 @@ def _single_mode_errors(dt: float):
 
     cfg = SolverConfig(scheme=FULLY_IMPLICIT, newton_tol=1e-12)
     traj = solve_forward(system, tg, u, np.array([0.2]), np.array([0.4]), cfg)
-    lin = solve_linearized(system, tg, traj, h, cfg)
+    lin = solve_linearized(system, tg, traj, h)
     spec = ControlProblemSpec(
         kappas=np.array([1.0, 0.5, 1.0, 0.5, 1.0]),
         phi_Q=np.zeros((tg.n_steps + 1, 1)), S_Q=np.zeros((tg.n_steps + 1, 1)),

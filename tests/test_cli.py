@@ -76,6 +76,19 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, value, key_path", [
+    ("solver", {"damping": 1.5}, "solver.damping"),
+    ("proliferation", {"p0": "abc", "p1": 0.1}, "proliferation.p0"),
+    ("potential", "regular", "potential"),
+    ("control", {"preset": "constant", "value": float("nan")}, "control"),
+])
+def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
+                                                 value, key_path):
+    cfg_path = small_config(tmp_path, **{section: value})
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"config error: {key_path}" in capsys.readouterr().err
+
+
 def test_negative_dt_override_rejected(tmp_path):
     cfg_path = small_config(tmp_path)
     assert main(["simulate", "--config", str(cfg_path),

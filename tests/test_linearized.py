@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tumorctrl import (FULLY_IMPLICIT, Proliferation, SolverConfig, TimeGrid,
-                       frechet_remainder_probe, solve_forward,
-                       solve_linearized, y_norm)
+from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, Proliferation,
+                       SolverConfig, TimeGrid, frechet_remainder_probe,
+                       solve_forward, solve_linearized, y_norm)
 from tumorctrl.verify import smooth_probe_controls
 
 from conftest import build_system, single_mode_system
@@ -53,7 +54,7 @@ def test_single_mode_linearized_matches_rk4():
     h = np.array([[h_fn(t)] for t in tg.times[1:]])
     cfg = SolverConfig(scheme=FULLY_IMPLICIT, newton_tol=1e-12)
     traj = solve_forward(system, tg, u, np.array([0.2]), np.array([0.4]), cfg)
-    lin = solve_linearized(system, tg, traj, h, cfg)
+    lin = solve_linearized(system, tg, traj, h)
     ref_state = red.solve_state(0.2, 0.4, u_fn, T)
     ref_t, ref_eta, ref_xi, ref_zeta = red.solve_linearized(ref_state, h_fn, T)
     for num, ref in ((lin.eta[:, 0], ref_eta), (lin.xi[:, 0], ref_xi),
@@ -63,15 +64,19 @@ def test_single_mode_linearized_matches_rk4():
         assert rel <= 2e-2
 
 
-def test_finite_difference_of_forward_map(generic_run):
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_finite_difference_of_forward_map(generic_run, scheme, split_f2_explicit):
     # the linearized solve is the exact derivative of the discrete step,
     # so a centered difference of the forward map converges to it
-    system, tg, u, phi0, S0, traj = generic_run
+    system, tg, u, phi0, S0, _ = generic_run
+    cfg = SolverConfig(scheme=scheme, split_f2_explicit=split_f2_explicit)
+    traj = solve_forward(system, tg, u, phi0, S0, cfg)
     rng = np.random.default_rng(4)
     h = rng.standard_normal((tg.n_steps, system.n_points))
     lin = solve_linearized(system, tg, traj, h)
     eps = 1e-6
-    cfg = SolverConfig(newton_tol=1e-13)
+    cfg = replace(cfg, newton_tol=1e-13)
     plus = solve_forward(system, tg, u + eps * h, phi0, S0, cfg)
     minus = solve_forward(system, tg, u - eps * h, phi0, S0, cfg)
     fd_xi = (plus.phi - minus.phi) / (2 * eps)

@@ -73,19 +73,6 @@ def test_split_reconstruction_and_monotonicity(pot_name, request):
     assert np.max(np.abs(slopes)) < 10.0
 
 
-def test_custom_potential_split_matches_quadrature():
-    reg = Potential.regular()
-    custom = Potential.custom(
-        F=lambda s: 0.25 * (s * s - 1.0) ** 2,
-        f=lambda s: s**3 - s,
-        df=lambda s: 3.0 * s * s - 1.0,
-        d2f=lambda s: 6.0 * s,
-        domain=(-5.0, 5.0),
-    )
-    pts = np.linspace(-2.0, 2.0, 41)
-    assert np.max(np.abs(custom.f1(pts) - reg.f1(pts))) <= 1e-7
-
-
 def test_regular_quadratic_lower_bound(reg):
     s = np.linspace(-5, 5, 2001)
     assert np.all(reg.F(s) >= 0.125 * s * s - 1.0)

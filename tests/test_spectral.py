@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumorctrl import (DegenerateSystemError, Field, FractionalPower,
-                       GridMismatchError, apply_power, assemble_power_matrix,
-                       build_basis, from_modal, graph_norm, inner_product,
-                       midpoint_grid, norm, solve_power_plus_mult, to_modal)
+                       GridMismatchError, apply_power, build_basis, from_modal,
+                       graph_norm, inner_product, midpoint_grid, norm,
+                       solve_power_plus_mult, to_modal)
 
 PI = math.pi
 
@@ -119,7 +119,7 @@ def test_graph_norm_eigenvector(grid):
 def test_power_matrix_eigen_action_and_symmetry(grid):
     basis = build_basis("dirichlet_laplace", grid.n_points, grid)
     fp = FractionalPower(basis, 0.8)
-    M = assemble_power_matrix(fp)
+    M = fp.matrix
     for j in (0, 3, 7):
         lam = basis.eigenvalues[j] ** 0.8
         assert np.max(np.abs(M @ basis.eigvecs[:, j] - lam * basis.eigvecs[:, j])) <= 1e-9

@@ -7,7 +7,7 @@ from tumorctrl import (FULLY_IMPLICIT, Potential, Proliferation, SolverConfig,
                        StepFailureError, TimeGrid, discrete_energy,
                        energy_identity_residual, initial_mu, load_trajectory,
                        max_mu_inf, pde_residuals, save_trajectory,
-                       solve_forward)
+                       solve_forward, state)
 from tumorctrl.spectral import Field, norm
 
 from conftest import build_system, single_mode_system
@@ -168,6 +168,23 @@ def test_step_failure_reports_index():
         solve_forward(system, TimeGrid(0.01, 10), 0.2 * np.ones((10, 16)),
                       0.3 * np.sin(x), 0.4 * np.ones(16), cfg)
     assert exc.value.step_index == 1
+
+
+@pytest.mark.parametrize("name", ["u", "phi0", "S0"])
+def test_non_finite_input_rejected_before_newton(monkeypatch, name):
+    system = build_system()
+    x = system.grid.points
+    inputs = {"u": 0.2 * np.ones((10, 16)), "phi0": 0.3 * np.sin(x),
+              "S0": 0.4 * np.ones(16)}
+    inputs[name][3] = np.nan
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a Newton step ran on non-finite input")
+
+    monkeypatch.setattr(state, "step", no_step)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve_forward(system, TimeGrid(0.01, 10), inputs["u"], inputs["phi0"],
+                      inputs["S0"])
 
 
 def test_split_scheme_close_to_plain(generic_run):
