@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError
-from .state import (SEMI_IMPLICIT_P, SolverConfig, StateTrajectory, TimeGrid,
-                    make_step_matrix, solve_forward)
+from .state import (SEMI_IMPLICIT_P, SolverConfig, StateTrajectory, StepOperator,
+                    TimeGrid, solve_forward)
 from .system import TumorSystem
 
 
@@ -40,42 +40,28 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
     h = np.broadcast_to(np.asarray(h, dtype=float), (n, N))
     dt = time_grid.dt
     pot, P_fun = system.potential, system.proliferation
-    semi = traj.scheme == SEMI_IMPLICIT_P
+    semi, split = traj.scheme == SEMI_IMPLICIT_P, traj.split_f2_explicit
 
-    eta = np.zeros((n + 1, N))
-    xi = np.zeros((n + 1, N))
-    zeta = np.zeros((n + 1, N))
-
-    step_matrix = make_step_matrix(system, dt)
-
+    eta, xi, zeta = (np.zeros((n + 1, N)) for _ in range(3))
     for k in range(1, n + 1):
-        phi_new, phi_old = traj.phi[k], traj.phi[k - 1]
+        phi_new, phi_old, xi_old = traj.phi[k], traj.phi[k - 1], xi[k - 1]
         drive = traj.S[k] - traj.mu[k]
-        Pv = P_fun(phi_old) if semi else P_fun(phi_new)
-        if traj.split_f2_explicit:
-            df_new = pot.df1(phi_new)
-            df_old_expl = pot.df2(phi_old)
-        else:
-            df_new = pot.df(phi_new)
-            df_old_expl = np.zeros(N)
-
-        J = step_matrix(Pv, df_new, None if semi else P_fun.d1(phi_new) * drive)
-
-        rhs1 = xi[k - 1] / dt
-        rhs2 = xi[k - 1] / dt - df_old_expl * xi[k - 1]
-        rhs3 = zeta[k - 1] / dt + h[k - 1]
-        if semi:
-            carried = P_fun.d1(phi_old) * xi[k - 1] * drive
-            rhs1 = rhs1 + carried
-            rhs3 = rhs3 - carried
-
+        df_new = pot.df1(phi_new) if split else pot.df(phi_new)
+        # the split scheme's f2 is explicit; the semi-implicit P(phi_old) is carried
+        rhs2 = xi_old / dt - pot.df2(phi_old) * xi_old if split else xi_old / dt
+        carried = P_fun.d1(phi_old) * xi_old * drive if semi else 0.0
+        b = np.concatenate([xi_old / dt + carried, rhs2,
+                            zeta[k - 1] / dt + h[k - 1] - carried])
         try:
-            sol = np.linalg.solve(J, np.concatenate([rhs1, rhs2, rhs3]))
+            op = StepOperator(system, dt, P_fun(phi_old) if semi else P_fun(phi_new),
+                              None if semi else P_fun.d1(phi_new) * drive)
+            x = op.solve(df_new, b)
+            # the elimination alone is not backward stable; one step of
+            # iterative refinement against the stacked operator makes it so
+            x = x + op.solve(df_new, b - op.apply(df_new, x))
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular linearized step matrix at step {k}") from exc
-        eta[k] = sol[0:N]
-        xi[k] = sol[N:2 * N]
-        zeta[k] = sol[2 * N:]
+        eta[k], xi[k], zeta[k] = x.reshape(3, N)
 
     return LinearizedTrajectory(eta=eta, xi=xi, zeta=zeta)
 

@@ -8,7 +8,9 @@ Each step solves, for the stacked unknowns (mu, phi, S) at the new node,
 
 with phi* = old phi (semi_implicit_P, default) or phi* = phi+ (fully
 implicit).  Newton updates are damped so phi iterates never leave the
-potential domain (fraction-to-the-boundary rule).
+potential domain (fraction-to-the-boundary rule).  Each Newton increment is
+solved by ``StepOperator``, which eliminates mu and S and factors an N x N
+matrix for phi alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SeparationFailureError, StepFailureError
+from .errors import DegenerateSystemError, SeparationFailureError, StepFailureError
 from .spectral import Field, solve_power_plus_mult
 from .system import TumorSystem
 
@@ -83,27 +85,27 @@ class StateTrajectory:
 
 def initial_mu(system: TumorSystem, phi0: np.ndarray, S0: np.ndarray) -> np.ndarray:
     """Solve (A^{2rho} + P(phi0)) mu(0) = P(phi0) S0."""
-    _check_phi_domain(system, phi0)
+    system.potential.f(phi0)  # raises DomainViolationError outside the domain
     P0 = system.proliferation(phi0)
     rhs = Field(P0 * S0, system.grid)
     sol = solve_power_plus_mult(system.op_A, Field(P0, system.grid), rhs)
     return sol.values
 
 
-def _check_phi_domain(system: TumorSystem, phi: np.ndarray):
-    # raises DomainViolationError via the potential's own guard
-    system.potential.f(phi if np.ndim(phi) else float(phi))
+def _step_f(pot, split, phi_new, f2_old):
+    """f of the step: f1(phi+) + f2(phi_old) for the split scheme, f(phi+) otherwise."""
+    return pot.f1(phi_new) + f2_old if split else pot.f(phi_new)
 
 
-def _f_and_derivative(system, cfg, phi_new, phi_old):
-    pot = system.potential
-    if cfg.split_f2_explicit:
-        f_val = pot.f1(phi_new) + (pot.f(phi_old) - pot.f1(phi_old))
-        df_val = pot.df1(phi_new)
-    else:
-        f_val = pot.f(phi_new)
-        df_val = pot.df(phi_new)
-    return f_val, df_val
+def _step_residuals(system, dt, prev, new, u_k, react, f_val):
+    """Residuals of the three step equations at (mu, phi, S) = new, given the
+    reaction term P(phi*) (S - mu) and the step's f."""
+    mu_p, phi_p, S_p = prev
+    mu, phi, S = new
+    dphi = (phi - phi_p) / dt
+    return (dphi + system.MA @ mu - react,
+            dphi + system.MB @ phi + f_val - mu,
+            (S - S_p) / dt + system.MC @ S + react - u_k)
 
 
 def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
@@ -120,66 +122,77 @@ def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
     return max(alpha, 0.0)
 
 
-def make_step_matrix(system: TumorSystem, dt: float):
-    """Step matrix of the implicit Euler step in the unknowns (mu, phi, S).
+class StepOperator:
+    """The implicit Euler step matrix in the unknowns (mu, phi, S),
 
-    The constant blocks (A^{2rho}, I/dt, -I, I/dt + B^{2sigma}, I/dt + C^{2tau})
-    are assembled once; the returned ``build(P, df, dP_drive=None)`` adds to a
-    copy the diagonal couplings +-P, f' on the phi-phi block and, for the fully
-    implicit scheme, the phi column P'(phi) (S - mu).  The matrix is both the
-    Newton Jacobian of the forward step and the linearized step operator.
+            [ A + P   I/dt - D   -P ]
+        J = [ -I      L           0 ],   L = I/dt + B^{2sigma} + diag f',
+            [ -P      D           K ]    K = I/dt + C^{2tau} + diag P,
+
+    for the couplings P and, in the fully implicit scheme, D = P'(phi)(S - mu).
+    It is the Newton Jacobian of the forward step and the linearized step
+    operator.  ``solve`` eliminates S through K and mu through the second row,
+    which leaves one N x N system for phi,
+
+        (G L + I/dt - D + P K^{-1} D) x_phi = b1 + P K^{-1} b3 + G b2,
+        G = A^{2rho} + P - P K^{-1} P.
+
+    K^{-1}, G and G (I/dt + B) are formed here, once per coupling; each solve
+    adds the column scaling G diag f' and factors the N x N matrix.
     """
-    N = system.n_points
-    idx = np.arange(N)
-    I_dt = np.eye(N) / dt
-    J0 = np.zeros((3 * N, 3 * N))
-    J0[0:N, 0:N] = system.MA
-    J0[0:N, N:2 * N] = I_dt
-    J0[N:2 * N, 0:N] = -np.eye(N)
-    J0[N:2 * N, N:2 * N] = I_dt + system.MB
-    J0[2 * N:, 2 * N:] = I_dt + system.MC
 
-    def build(P, df, dP_drive=None):
-        J = J0.copy()
-        J[idx, idx] += P
-        J[idx, 2 * N + idx] -= P
-        J[2 * N + idx, idx] -= P
-        J[2 * N + idx, 2 * N + idx] += P
-        J[N + idx, N + idx] += df
-        if dP_drive is not None:
-            J[idx, N + idx] -= dP_drive
-            J[2 * N + idx, N + idx] += dP_drive
-        return J
+    def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
+                 D: Optional[np.ndarray] = None):
+        self.system, self.dt, self.P, self.D = system, dt, P, D
+        self.K_inv = np.linalg.inv(system.MC + np.diag(1.0 / dt + P))
+        self.G = G = system.MA + np.diag(P) - P[:, None] * self.K_inv * P
+        base = G @ system.MB + G / dt + np.eye(P.size) / dt
+        if D is not None:
+            base += P[:, None] * self.K_inv * D - np.diag(D)
+        self._base = base
 
-    return build
+    def solve(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with J x = b for the stacked vectors x, b = (mu, phi, S)."""
+        N = self.P.size
+        b1, b2, b3 = b[:N], b[N:2 * N], b[2 * N:]
+        P, D, K_inv, G = self.P, self.D, self.K_inv, self.G
+        x_phi = np.linalg.solve(self._base + G * df, b1 + P * (K_inv @ b3) + G @ b2)
+        x_mu = x_phi / self.dt + self.system.MB @ x_phi + df * x_phi - b2
+        s_rhs = b3 + P * x_mu if D is None else b3 + P * x_mu - D * x_phi
+        return np.concatenate([x_mu, x_phi, K_inv @ s_rhs])
+
+    def apply(self, df: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """J x for the stacked vector x = (mu, phi, S): the step residual of x
+        linearized with zero data."""
+        N = self.P.size
+        x_mu, x_phi, x_S = x[:N], x[N:2 * N], x[2 * N:]
+        react = self.P * (x_S - x_mu) + (0.0 if self.D is None else self.D * x_phi)
+        return np.concatenate(_step_residuals(self.system, self.dt, (0.0, 0.0, 0.0),
+                                              (x_mu, x_phi, x_S), 0.0, react, df * x_phi))
 
 
 def step(system: TumorSystem, cfg: SolverConfig, dt: float,
          prev: tuple, u_k: np.ndarray, step_index: int = 0) -> tuple:
     """One implicit Euler step; returns (mu, phi, S, newton_iterations)."""
-    mu_p, phi_p, S_p = (np.asarray(v, dtype=float) for v in prev)
-    _check_phi_domain(system, phi_p)
+    prev = tuple(np.asarray(v, dtype=float) for v in prev)
+    phi_p = prev[1]
     N = system.n_points
     w = system.grid.weights
-    P_fun = system.proliferation
+    pot, P_fun = system.potential, system.proliferation
+    split = cfg.split_f2_explicit
     semi = cfg.scheme == SEMI_IMPLICIT_P
     P_old = P_fun(phi_p)
-    jacobian = make_step_matrix(system, dt)
+    f2_old = pot.split_f(phi_p)[1] if split else None
+    op = None
 
-    mu, phi, S = mu_p.copy(), phi_p.copy(), S_p.copy()
-
-    def residual(mu, phi, S):
-        Pv = P_old if semi else P_fun(phi)
-        react = Pv * (S - mu)
-        f_val, _ = _f_and_derivative(system, cfg, phi, phi_p)
-        r1 = (phi - phi_p) / dt + system.MA @ mu - react
-        r2 = (phi - phi_p) / dt + system.MB @ phi + f_val - mu
-        r3 = (S - S_p) / dt + system.MC @ S + react - u_k
-        return r1, r2, r3
-
+    # Newton starts at the previous state, so the first evaluation of f checks
+    # that phi_p lies in the potential's domain
+    mu, phi, S = (v.copy() for v in prev)
     prev_res = np.inf
     for it in range(cfg.newton_max_iter + 1):
-        r1, r2, r3 = residual(mu, phi, S)
+        Pv = P_old if semi else P_fun(phi)
+        r1, r2, r3 = _step_residuals(system, dt, prev, (mu, phi, S), u_k, Pv * (S - mu),
+                                     _step_f(pot, split, phi, f2_old))
         res_norm = float(np.sqrt(np.sum(w * (r1 * r1 + r2 * r2 + r3 * r3))))
         # accept on reaching the tolerance, or on stagnating at the roundoff
         # floor of the linear algebra (tolerances below that floor would
@@ -192,11 +205,15 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
             raise StepFailureError(step_index, res_norm, it)
         prev_res = res_norm
 
-        Pv = P_old if semi else P_fun(phi)
-        _, df_val = _f_and_derivative(system, cfg, phi, phi_p)
-        J = jacobian(Pv, df_val, None if semi else P_fun.d1(phi) * (S - mu))
-
-        delta = np.linalg.solve(J, -np.concatenate([r1, r2, r3]))
+        df_val = pot.df1(phi) if split else pot.df(phi)
+        try:
+            if not semi:
+                op = StepOperator(system, dt, Pv, P_fun.d1(phi) * (S - mu))
+            elif op is None:
+                op = StepOperator(system, dt, P_old)
+            delta = op.solve(df_val, -np.concatenate([r1, r2, r3]))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
         alpha = _boundary_step_fraction(system, cfg, phi, delta[N:2 * N])
         mu = mu + alpha * delta[0:N]
         phi = phi + alpha * delta[N:2 * N]
@@ -252,31 +269,22 @@ def _scheme_P_values(system, traj):
     return system.proliferation(src)
 
 
-def _f_values(system, traj):
-    pot = system.potential
-    if traj.split_f2_explicit:
-        return pot.f1(traj.phi[1:]) + pot.f(traj.phi[:-1]) - pot.f1(traj.phi[:-1])
-    return pot.f(traj.phi[1:])
-
-
 def pde_residuals(system: TumorSystem, traj: StateTrajectory, u: np.ndarray) -> np.ndarray:
-    """Weighted residual norms of the three discrete equations, per step."""
-    n, N = traj.n_steps, system.n_points
-    u = np.broadcast_to(np.asarray(u, dtype=float), (n, N))
+    """Weighted residual norms of the three discrete equations, per step,
+    recomputed the way Newton computed them."""
+    n = traj.n_steps
+    u = np.broadcast_to(np.asarray(u, dtype=float), (n, system.n_points))
     dt = float(traj.times[1] - traj.times[0])
-    w = system.grid.weights
-    dphi = (traj.phi[1:] - traj.phi[:-1]) / dt
-    dS = (traj.S[1:] - traj.S[:-1]) / dt
+    w, pot, split = system.grid.weights, system.potential, traj.split_f2_explicit
     Pv = _scheme_P_values(system, traj)
-    react = Pv * (traj.S[1:] - traj.mu[1:])
-    r1 = dphi + traj.mu[1:] @ system.MA.T - react
-    r2 = dphi + traj.phi[1:] @ system.MB.T + _f_values(system, traj) - traj.mu[1:]
-    r3 = dS + traj.S[1:] @ system.MC.T + react - u
-    return np.stack([
-        np.sqrt(np.sum(w * r1 * r1, axis=1)),
-        np.sqrt(np.sum(w * r2 * r2, axis=1)),
-        np.sqrt(np.sum(w * r3 * r3, axis=1)),
-    ], axis=1)
+    out = np.empty((n, 3))
+    for k in range(1, n + 1):
+        prev = (traj.mu[k - 1], traj.phi[k - 1], traj.S[k - 1])
+        mu, phi, S = new = (traj.mu[k], traj.phi[k], traj.S[k])
+        f_val = _step_f(pot, split, phi, pot.split_f(prev[1])[1] if split else None)
+        r = _step_residuals(system, dt, prev, new, u[k - 1], Pv[k - 1] * (S - mu), f_val)
+        out[k - 1] = [np.sqrt(np.sum(w * ri * ri)) for ri in r]
+    return out
 
 
 def discrete_energy(system: TumorSystem, traj: StateTrajectory) -> np.ndarray:

@@ -45,3 +45,38 @@ def generic_run(small_system):
     u = 0.2 * np.ones((tg.n_steps, system.n_points))
     traj = solve_forward(system, tg, u, phi0, S0)
     return system, tg, u, phi0, S0, traj
+
+
+def logarithmic_run(scheme, split_f2_explicit, n_steps=50):
+    """A forward run with the logarithmic potential, P' != 0 and phi beyond the
+    potential's convex threshold, so every coupling and both parts of f are live."""
+    from tumorctrl import SolverConfig, TimeGrid, solve_forward
+
+    system = build_system(potential=Potential.logarithmic(c1=2.0),
+                          proliferation=Proliferation(p0=2.0, p1=0.5))
+    x = system.grid.points
+    tg = TimeGrid(0.001 * n_steps, n_steps)
+    u = np.broadcast_to(1.0 + 0.5 * np.cos(x), (n_steps, system.n_points))
+    cfg = SolverConfig(scheme=scheme, split_f2_explicit=split_f2_explicit)
+    traj = solve_forward(system, tg, u, 0.8 * np.sin(x), 2.0 + 0.5 * np.cos(x), cfg)
+    return system, tg, u, traj
+
+
+def dense_step_matrix(system, dt, P, df, D=None):
+    """The stacked 3N x 3N implicit Euler step matrix in (mu, phi, S), assembled
+    block by block: the oracle for ``state.StepOperator``."""
+    N = system.n_points
+    I_dt = np.eye(N) / dt
+    D = np.zeros(N) if D is None else D
+    return np.block([
+        [system.MA + np.diag(P), I_dt - np.diag(D), -np.diag(P)],
+        [-np.eye(N), I_dt + system.MB + np.diag(df), np.zeros((N, N))],
+        [-np.diag(P), np.diag(D), I_dt + system.MC + np.diag(P)],
+    ])
+
+
+def backward_error(J, x, b):
+    """Normwise backward error ||b - J x|| / (||J|| ||x|| + ||b||) in the max norm."""
+    r = b - J @ x
+    return np.linalg.norm(r, np.inf) / (np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf)
+                                        + np.linalg.norm(b, np.inf))

@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, Proliferation,
-                       SolverConfig, TimeGrid, frechet_remainder_probe,
+from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
+                       Proliferation, SolverConfig, TimeGrid, frechet_remainder_probe,
                        solve_forward, solve_linearized, y_norm)
 from tumorctrl.verify import smooth_probe_controls
 
-from conftest import build_system, single_mode_system
+from conftest import (backward_error, build_system, dense_step_matrix, logarithmic_run,
+                      single_mode_system)
+
+U = np.finfo(float).eps / 2
 
 
 def test_zero_direction_gives_zero(generic_run):
@@ -83,6 +86,42 @@ def test_finite_difference_of_forward_map(generic_run, scheme, split_f2_explicit
     fd_zeta = (plus.S - minus.S) / (2 * eps)
     assert np.max(np.abs(fd_xi - lin.xi)) <= 1e-5 * max(np.max(np.abs(lin.xi)), 1.0)
     assert np.max(np.abs(fd_zeta - lin.zeta)) <= 1e-5 * max(np.max(np.abs(lin.zeta)), 1.0)
+
+
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_linearized_steps_solve_dense_oracle(scheme, split_f2_explicit):
+    # every step of the linearized solve, as the stacked system derived from
+    # the discrete step
+    system, tg, _, traj = logarithmic_run(scheme, split_f2_explicit)
+    h = np.random.default_rng(3).standard_normal((tg.n_steps, system.n_points))
+    lin = solve_linearized(system, tg, traj, h)
+    pot, P_fun, dt = system.potential, system.proliferation, tg.dt
+    semi = scheme == SEMI_IMPLICIT_P
+    for k in range(1, tg.n_steps + 1):
+        phi_star = traj.phi[k - 1] if semi else traj.phi[k]
+        dP_drive = P_fun.d1(phi_star) * (traj.S[k] - traj.mu[k])
+        df = pot.df1(traj.phi[k]) if split_f2_explicit else pot.df(traj.phi[k])
+        J = dense_step_matrix(system, dt, P_fun(phi_star), df, None if semi else dP_drive)
+        xi, zeta = lin.xi[k - 1], lin.zeta[k - 1]
+        carried = dP_drive * xi if semi else 0.0
+        explicit = pot.df2(traj.phi[k - 1]) * xi if split_f2_explicit else 0.0
+        b = np.concatenate([xi / dt + carried, xi / dt - explicit,
+                            zeta / dt + h[k - 1] - carried])
+        sol = np.concatenate([lin.eta[k], lin.xi[k], lin.zeta[k]])
+        assert backward_error(J, sol, b) <= 10 * U
+
+
+def test_singular_linearized_step_names_the_step(monkeypatch, generic_run):
+    system, tg, u, phi0, S0, traj = generic_run
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DegenerateSystemError,
+                       match="singular linearized step matrix at step 1$"):
+        solve_linearized(system, tg, traj, u)
 
 
 def test_y_norm_properties(small_system):

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from tumorctrl import (FULLY_IMPLICIT, Potential, Proliferation, SolverConfig,
-                       StepFailureError, TimeGrid, discrete_energy,
+from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
+                       Potential, Proliferation, SolverConfig, StepFailureError,
+                       TimeGrid, discrete_energy,
                        energy_identity_residual, initial_mu, load_trajectory,
                        max_mu_inf, pde_residuals, save_trajectory,
                        solve_forward, state)
 from tumorctrl.spectral import Field, norm
 
-from conftest import build_system, single_mode_system
+from conftest import (backward_error, build_system, dense_step_matrix, logarithmic_run,
+                      single_mode_system)
+
+U = np.finfo(float).eps / 2
 
 
 def test_time_grid_validation():
@@ -203,3 +207,75 @@ def test_save_load_round_trip(tmp_path, generic_run):
     assert np.array_equal(back.phi, traj.phi)
     assert np.array_equal(back.S, traj.S)
     assert back.scheme == traj.scheme
+
+
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_newton_solve_matches_dense_oracle(scheme, split_f2_explicit):
+    system, tg, u, traj = logarithmic_run(scheme, split_f2_explicit)
+    pot, P_fun = system.potential, system.proliferation
+    mu, phi, S = traj.mu[25], traj.phi[25], traj.S[25]
+    # the system of Newton's first iteration, started from the previous state
+    P = P_fun(phi)
+    D = None if scheme == SEMI_IMPLICIT_P else P_fun.d1(phi) * (S - mu)
+    df = pot.df1(phi) if split_f2_explicit else pot.df(phi)
+    b = -np.concatenate([system.MA @ mu - P * (S - mu),
+                         system.MB @ phi + pot.f(phi) - mu,
+                         system.MC @ S + P * (S - mu) - u[25]])
+    J = dense_step_matrix(system, tg.dt, P, df, D)
+    op = state.StepOperator(system, tg.dt, P, D)
+    delta = op.solve(df, b)
+    exact = np.linalg.solve(J, b)
+    assert np.max(np.abs(delta - exact)) <= 1e-11 * np.max(np.abs(exact))
+    # the elimination alone is not backward stable; corrected once by the
+    # stacked residual, as Newton's next iteration corrects it, it is
+    corrected = delta + op.solve(df, b - J @ delta)
+    assert backward_error(J, corrected, b) <= 10 * U
+
+
+def test_split_pde_residuals_recompute_newton_stop(monkeypatch):
+    last, stopped = [], []
+    step_residuals, step = state._step_residuals, state.step
+
+    def record_residuals(*args):
+        last[:] = step_residuals(*args)
+        return last
+
+    def record_stop(*args, **kwargs):
+        out = step(*args, **kwargs)
+        stopped.append(list(last))
+        return out
+
+    monkeypatch.setattr(state, "_step_residuals", record_residuals)
+    monkeypatch.setattr(state, "step", record_stop)
+    # phi beyond the regular potential's convex threshold 1/sqrt(3), where
+    # f1(phi+) + (f(phi) - f1(phi)) and f1(phi+) + f(phi) - f1(phi) round apart
+    system = build_system(proliferation=Proliferation(p0=2.0, p1=0.5))
+    x = system.grid.points
+    tg = TimeGrid(0.05, 50)
+    u = np.broadcast_to(1.0 + 0.5 * np.cos(x), (tg.n_steps, system.n_points))
+    traj = solve_forward(system, tg, u, 1.2 * np.sin(x), 2.0 + 0.5 * np.cos(x),
+                         SolverConfig(split_f2_explicit=True))
+    monkeypatch.undo()
+    w = system.grid.weights
+    newton = np.array([np.sqrt(np.sum(w * (r1 * r1 + r2 * r2 + r3 * r3)))
+                       for r1, r2, r3 in stopped])
+    combined = np.sqrt(np.sum(pde_residuals(system, traj, u) ** 2, axis=1))
+    assert newton.size == tg.n_steps
+    # equal up to the rounding of the norms themselves
+    assert np.all(combined <= newton * (1.0 + 1e-13))
+
+
+@pytest.mark.parametrize("factorization", ["inv", "solve"])
+def test_singular_step_matrix_names_the_step(monkeypatch, factorization):
+    system = build_system()
+    x = system.grid.points
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
+    prev = (initial_mu(system, phi, S), phi, S)
+    monkeypatch.setattr(np.linalg, factorization, singular)
+    with pytest.raises(DegenerateSystemError, match="singular step matrix at step 7$"):
+        state.step(system, SolverConfig(), 0.01, prev, 0.2 * np.ones(16), step_index=7)
