@@ -52,9 +52,9 @@ class Potential:
         s = np.asarray(s, dtype=float)
         a, b = self.domain
         if self.kind == "logarithmic":
-            if np.any(np.abs(s) >= 1.0 - _LOG_GUARD):
+            if (np.abs(s) >= 1.0 - _LOG_GUARD).any():
                 raise DomainViolationError("argument too close to the endpoints of (-1, 1)")
-        elif np.any(s <= a) or np.any(s >= b):
+        elif ((s <= a) | (s >= b)).any():
             raise DomainViolationError(f"argument outside the potential domain ({a}, {b})")
         return s
 

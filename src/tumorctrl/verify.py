@@ -18,7 +18,7 @@ from .control import (OptimizerOptions, fd_gradient_check,
 from .linearized import frechet_remainder_probe, solve_linearized
 from .model import Potential, Proliferation, separation_interval
 from .problem import ControlProblemSpec
-from .reference import single_mode_system
+from .reference import SingleModeReduction, single_mode_system
 from .spectral import Field, norm, solve_power_plus_mult
 from .state import (FULLY_IMPLICIT, SolverConfig, TimeGrid,
                     discrete_energy, energy_identity_residual, max_mu_inf,
@@ -90,21 +90,34 @@ def _single_mode_control(t):
     return 0.3 * math.cos(2.0 * t)
 
 
-def _single_mode_run(cfg: ExperimentConfig, system: TumorSystem, T: float,
-                     dt: float, scfg: SolverConfig | None = None):
-    """Forward run of the single-mode system and its RK4 reference state.
+@dataclass(frozen=True)
+class SingleModeSetup:
+    """The single-mode system, its ODE reduction and the RK4 reference state
+    over [0, T], shared by the three single-mode checks of one battery run."""
 
-    The operators are the eigenvalues 1.2, 0.9, 0.7 raised to the configured
-    exponents; potential and proliferation are the configured system's.
-    Returns (system, reduction, time grid, trajectory, reference state).
-    """
+    system: TumorSystem
+    reduction: SingleModeReduction
+    T: float
+    state: tuple
+
+
+def _single_mode_setup(cfg: ExperimentConfig, system: TumorSystem,
+                       T: float = 0.5) -> SingleModeSetup:
+    """The operators are the eigenvalues 1.2, 0.9, 0.7 raised to the configured
+    exponents; potential and proliferation are the configured system's."""
     system, red = single_mode_system(1.2 ** (2 * cfg.rho), 0.9 ** (2 * cfg.sigma),
                                      0.7 ** (2 * cfg.tau), system.potential,
                                      system.proliferation)
-    tg = TimeGrid(T, int(round(T / dt)))
+    return SingleModeSetup(system, red, T,
+                           red.solve_state(0.2, 0.4, _single_mode_control, T))
+
+
+def _single_mode_run(setup: SingleModeSetup, dt: float,
+                     scfg: SolverConfig | None = None):
+    """Forward run of the single-mode system; returns (time grid, trajectory)."""
+    tg = TimeGrid(setup.T, int(round(setup.T / dt)))
     u = np.array([[_single_mode_control(t)] for t in tg.times[1:]])
-    traj = solve_forward(system, tg, u, np.array([0.2]), np.array([0.4]), scfg)
-    return system, red, tg, traj, red.solve_state(0.2, 0.4, _single_mode_control, T)
+    return tg, solve_forward(setup.system, tg, u, np.array([0.2]), np.array([0.4]), scfg)
 
 
 def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs,
@@ -119,35 +132,34 @@ def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs,
                        f"max relative error vs RK4 reference at dt={dt}")
 
 
-def check_single_mode_state(cfg: ExperimentConfig, system: TumorSystem,
-                            T: float = 0.5, dt: float = 1e-3) -> CheckResult:
-    _, _, tg, traj, (ref_t, ref_mu, ref_phi, ref_S) = _single_mode_run(cfg, system, T, dt)
+def check_single_mode_state(setup: SingleModeSetup, dt: float = 1e-3) -> CheckResult:
+    tg, traj = _single_mode_run(setup, dt)
+    ref_t, ref_mu, ref_phi, ref_S = setup.state
     return _single_mode_result("single_mode_state", tg, ref_t, (
         (traj.mu[:, 0], ref_mu), (traj.phi[:, 0], ref_phi), (traj.S[:, 0], ref_S)), dt)
 
 
-def check_single_mode_linearized(cfg: ExperimentConfig, system: TumorSystem,
-                                 T: float = 0.5, dt: float = 1e-3) -> CheckResult:
-    system, red, tg, traj, state_ref = _single_mode_run(
-        cfg, system, T, dt, SolverConfig(scheme=FULLY_IMPLICIT))
+def check_single_mode_linearized(setup: SingleModeSetup,
+                                 dt: float = 1e-3) -> CheckResult:
+    tg, traj = _single_mode_run(setup, dt, SolverConfig(scheme=FULLY_IMPLICIT))
     h_fn = lambda t: math.sin(t) + 0.5
     h = np.array([[h_fn(t)] for t in tg.times[1:]])
-    lin = solve_linearized(system, tg, traj, h)
-    ref_t, _, ref_xi, ref_zeta = red.solve_linearized(state_ref, h_fn, T)
+    lin = solve_linearized(setup.system, tg, traj, h)
+    ref_t, _, ref_xi, ref_zeta = setup.reduction.solve_linearized(setup.state, h_fn,
+                                                                   setup.T)
     return _single_mode_result("single_mode_linearized", tg, ref_t, (
         (lin.xi[:, 0], ref_xi), (lin.zeta[:, 0], ref_zeta)), dt)
 
 
-def check_single_mode_adjoint(cfg: ExperimentConfig, system: TumorSystem,
-                              T: float = 0.5, dt: float = 1e-3) -> CheckResult:
-    system, red, tg, traj, state_ref = _single_mode_run(cfg, system, T, dt)
+def check_single_mode_adjoint(setup: SingleModeSetup, dt: float = 1e-3) -> CheckResult:
+    tg, traj = _single_mode_run(setup, dt)
     spec = _zero_spec(tg.n_steps, 1, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
-    adj = solve_adjoint(system, tg, traj, spec)
-    ref_t, _, ref_phi, ref_S = state_ref
-    adj_t, ref_q, ref_p, ref_r = red.solve_adjoint(
-        state_ref, lambda t: float(np.interp(t, ref_t, ref_phi)),
+    adj = solve_adjoint(setup.system, tg, traj, spec)
+    ref_t, _, ref_phi, ref_S = setup.state
+    adj_t, ref_q, ref_p, ref_r = setup.reduction.solve_adjoint(
+        setup.state, lambda t: float(np.interp(t, ref_t, ref_phi)),
         lambda t: float(np.interp(t, ref_t, ref_S)),
-        0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]), T)
+        0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]), setup.T)
     return _single_mode_result("single_mode_adjoint", tg, adj_t, (
         (adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p), (adj.r[:, 0], ref_r)), dt)
 
@@ -308,11 +320,12 @@ def check_separation(cfg: ExperimentConfig, system: TumorSystem) -> CheckResult:
 def run_verification(cfg: ExperimentConfig) -> list:
     """Run the full battery on the configured problem; deterministic per seed."""
     system = cfg.build_system()
+    single_mode = _single_mode_setup(cfg, system)
     results = [
         check_operator_algebra(system, cfg.seed),
-        check_single_mode_state(cfg, system),
-        check_single_mode_linearized(cfg, system),
-        check_single_mode_adjoint(cfg, system),
+        check_single_mode_state(single_mode),
+        check_single_mode_linearized(single_mode),
+        check_single_mode_adjoint(single_mode),
         check_energy_identity(cfg, system),
         check_energy_dissipation(cfg, system),
         check_frechet_slope(cfg, system, cfg.seed),

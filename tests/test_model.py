@@ -31,6 +31,41 @@ def test_logarithmic_values(log_pot):
     assert abs(log_pot.f(0.0)) <= 1e-15
 
 
+_POTENTIALS = {
+    "regular": Potential.regular(),
+    "logarithmic": Potential.logarithmic(c1=2.0),
+    "regular_finite": Potential(kind="regular", domain=(-2.0, 1.5)),
+}
+_ARGUMENTS = [0.0, 0.5, -0.999, 1.0, -1.0, 1.0 - 1e-12, 1.0 - 2e-12, -1.0 + 1e-13,
+              1.5, -2.0, 1.5 - 1e-15, 3.0, math.inf, -math.inf, math.nan,
+              np.array([]), np.array([0.1, -0.2, 0.3]), np.array([0.1, 1.5]),
+              np.array([[0.0, math.nan], [-0.5, 0.2]]), np.array([[0.0, 2.5]]),
+              np.array([0.0, -math.inf]), np.array([-2.0, 0.0])]
+
+
+def _rejected_by_two_any_calls(potential, s):
+    """The domain predicate of the original guard: two module-level np.any
+    calls for the regular kind, one on |s| for the logarithmic kind."""
+    s = np.asarray(s, dtype=float)
+    a, b = potential.domain
+    if potential.kind == "logarithmic":
+        return bool(np.any(np.abs(s) >= 1.0 - 1e-12))
+    return bool(np.any(s <= a) or np.any(s >= b))
+
+
+@pytest.mark.parametrize("s", _ARGUMENTS,
+                         ids=lambda s: str(np.asarray(s).tolist()).replace(" ", ""))
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_domain_check_matches_two_any_predicate(name, s):
+    potential = _POTENTIALS[name]
+    if _rejected_by_two_any_calls(potential, s):
+        with pytest.raises(DomainViolationError):
+            potential._check(s)
+    else:
+        out = potential._check(s)
+        np.testing.assert_array_equal(out, np.asarray(s, dtype=float))
+
+
 def test_logarithmic_domain_guard(log_pot):
     with pytest.raises(DomainViolationError):
         log_pot.f(1.0 - 1e-13)
