@@ -3,8 +3,7 @@ three-field fractional phase-field tumor-growth system."""
 
 from .adjoint import (AdjointData, AdjointTrajectory, adjoint_residuals,
                       build_adjoint_data, solve_adjoint,
-                      solve_adjoint_viscous_galerkin, solve_q_algebraic,
-                      viscosity_sweep)
+                      solve_adjoint_viscous_galerkin, viscosity_sweep)
 from .config import (ExperimentConfig, config_from_dict, parse_config,
                      serialize_config)
 from .control import (OptimizationReport, OptimizerOptions, control_inner,

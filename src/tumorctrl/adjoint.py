@@ -5,9 +5,10 @@ The adjoint triple (q, p, r) satisfies an algebraic equation for q,
     A^{2rho} q - p + P(phi)(q - r) = 0,
 
 plus backward evolution equations for p + q and r with terminal data
-(q+p)(T) = g2, r(T) = g4.  The direct solver eliminates q through the
-algebraic relation, so each backward Euler step is a linear solve in
-(p, r).  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt term,
+(q+p)(T) = g2, r(T) = g4.  The direct solver's backward Euler step is J*,
+the adjoint of the forward step matrix at node k's P, P'(phi)(S - mu) and f',
+solved by ``state.StepOperator.solve_transposed`` plus one sweep of iterative
+refinement.  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt term,
 integrated in modal coordinates) is kept as an independent cross-check.
 """
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from .errors import DegenerateSystemError
 from .problem import ControlProblemSpec
-from .spectral import Field, FractionalPower, solve_power_plus_mult
-from .state import StateTrajectory, TimeGrid
+from .state import StateTrajectory, StepOperator, TimeGrid, _adjoint_step_residuals
 from .system import TumorSystem
 
 
@@ -64,65 +64,47 @@ def build_adjoint_data(traj: StateTrajectory, spec: ControlProblemSpec) -> Adjoi
     )
 
 
-def solve_q_algebraic(A_power: FractionalPower, P_field: Field,
-                      p: Field, r: Field) -> Field:
-    """q = (A^{2rho} + P)^{-1} (p + P r)."""
-    rhs = Field(p.values + P_field.values * r.values, p.grid)
-    return solve_power_plus_mult(A_power, P_field, rhs)
-
-
 def solve_adjoint(system: TumorSystem, time_grid: TimeGrid,
                   traj: StateTrajectory, spec: ControlProblemSpec) -> AdjointTrajectory:
-    """Backward Euler from T to 0 with q eliminated at every node."""
+    """Backward Euler from T to 0, each step the adjoint of the forward step."""
     n, N = time_grid.n_steps, system.n_points
     if traj.n_steps != n:
         raise ValueError("trajectory and time grid disagree on the step count")
     dt = time_grid.dt
     data = build_adjoint_data(traj, spec)
     P_fun, pot = system.proliferation, system.potential
-    I = np.eye(N)
-
-    q = np.zeros((n + 1, N))
-    p = np.zeros((n + 1, N))
-    r = np.zeros((n + 1, N))
+    q, p, r = (np.zeros((n + 1, N)) for _ in range(3))
 
     # terminal node: r(T) = g4, (q+p)(T) = g2, algebraic relation fixes the split
     P_T = P_fun(traj.phi[-1])
     r[n] = data.g4
-    q[n] = _solve_with_check(I + system.MA + np.diag(P_T),
-                             data.g2 + P_T * data.g4, step_index=n)
+    try:
+        q[n] = np.linalg.solve(np.eye(N) + system.MA + np.diag(P_T),
+                               data.g2 + P_T * data.g4)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystemError(f"singular adjoint step matrix at node {n}") from exc
     p[n] = data.g2 - q[n]
 
     for k in range(n - 1, -1, -1):
         P_k = P_fun(traj.phi[k])
         D_k = P_fun.d1(traj.phi[k]) * (traj.S[k] - traj.mu[k])
         df_k = pot.df(traj.phi[k])
-
-        Qp = np.linalg.inv(system.MA + np.diag(P_k))
-        Qr = Qp * P_k[None, :]
-
-        A11 = (I + Qp) / dt + system.MB + np.diag(df_k) - D_k[:, None] * Qp
-        A12 = Qr / dt - D_k[:, None] * Qr + np.diag(D_k)
-        A21 = -P_k[:, None] * Qp
-        A22 = I / dt + system.MC + np.diag(P_k) - P_k[:, None] * Qr
-        block = np.block([[A11, A12], [A21, A22]])
-        rhs = np.concatenate([
-            data.g1[k] + (q[k + 1] + p[k + 1]) / dt,
-            data.g3[k] + r[k + 1] / dt,
-        ])
-        sol = _solve_with_check(block, rhs, step_index=k)
-        p[k], r[k] = sol[:N], sol[N:]
-        q[k] = Qp @ p[k] + Qr @ r[k]
+        nxt = (q[k + 1], p[k + 1], r[k + 1])
+        x = np.zeros(3 * N)
+        try:
+            op = StepOperator(system, dt, P_k, D_k)
+            # two corrections by the step residual, starting from zero: the
+            # elimination alone is not backward stable, and the second
+            # correction, one sweep of iterative refinement, makes it so
+            for _ in range(2):
+                res = _adjoint_step_residuals(system, dt, nxt, x.reshape(3, N),
+                                              data.g1[k], data.g3[k], P_k, D_k, df_k)
+                x = x - op.solve_transposed(df_k, np.concatenate(res))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError(f"singular adjoint step matrix at node {k}") from exc
+        q[k], p[k], r[k] = x.reshape(3, N)
 
     return AdjointTrajectory(q=q, p=p, r=r)
-
-
-def _solve_with_check(A: np.ndarray, b: np.ndarray, step_index: int) -> np.ndarray:
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(
-            f"singular adjoint step matrix at node {step_index}") from exc
 
 
 def adjoint_residuals(system: TumorSystem, time_grid: TimeGrid,
@@ -134,31 +116,22 @@ def adjoint_residuals(system: TumorSystem, time_grid: TimeGrid,
     backward difference equations for q + p and r at nodes 0 .. n-1; row n
     carries the terminal-condition mismatches instead.
     """
-    n, N = time_grid.n_steps, system.n_points
     dt = time_grid.dt
     w = system.grid.weights
     data = build_adjoint_data(traj, spec)
     P = system.proliferation(traj.phi)
     D = system.proliferation.d1(traj.phi) * (traj.S - traj.mu)
     df = system.potential.df(traj.phi)
-
-    res_q = adj.q @ system.MA.T - adj.p + P * (adj.q - adj.r)
-    zp = adj.q + adj.p
-    res_p = (-(zp[1:] - zp[:-1]) / dt + adj.p[:-1] @ system.MB.T
-             + df[:-1] * adj.p[:-1] - D[:-1] * (adj.q[:-1] - adj.r[:-1])
-             - data.g1[:-1])
-    res_r = (-(adj.r[1:] - adj.r[:-1]) / dt + adj.r[:-1] @ system.MC.T
-             - P[:-1] * (adj.q[:-1] - adj.r[:-1]) - data.g3[:-1])
-
-    out = np.zeros((n + 1, 3))
-    out[:, 0] = np.sqrt(np.sum(w * res_q * res_q, axis=1))
-    out[:-1, 1] = np.sqrt(np.sum(w * res_p * res_p, axis=1))
-    out[:-1, 2] = np.sqrt(np.sum(w * res_r * res_r, axis=1))
-    term_p = zp[n] - data.g2
-    term_r = adj.r[n] - data.g4
-    out[n, 1] = np.sqrt(np.sum(w * term_p * term_p))
-    out[n, 2] = np.sqrt(np.sum(w * term_r * term_r))
-    return out
+    cur = (adj.q, adj.p, adj.r)
+    steps = _adjoint_step_residuals(system, dt, [v[1:] for v in cur], [v[:-1] for v in cur],
+                                    data.g1[:-1], data.g3[:-1], P[:-1], D[:-1], df[:-1])
+    # node n: the algebraic q-equation (the first step residual, whose value
+    # does not depend on the next node) and the two terminal conditions
+    last = [v[-1] for v in cur]
+    terminal = (_adjoint_step_residuals(system, dt, last, last, 0.0, 0.0, P[-1], D[-1], df[-1])[0],
+                adj.q[-1] + adj.p[-1] - data.g2, adj.r[-1] - data.g4)
+    norms = [[np.sqrt(np.sum(w * v * v, axis=-1)) for v in res] for res in (steps, terminal)]
+    return np.vstack([np.stack(norms[0], axis=1), norms[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ The state ODE is nonlinear and is stepped by ``rk4`` with a Python
 right-hand side.  The linearized and adjoint ODEs are linear, y' = M(t) y +
 g(t), with coefficients taken from the interpolated reference state.  Their
 M and g are sampled as arrays at the 2n + 1 RK4 stage points (the nodes and
-the step midpoints), one block of steps at a time.  One RK4 step of a
-linear ODE is exactly the affine map y -> R_i y + s_i built from M and g at
-the step's node, midpoint and end, so ``rk4_linear`` forms a block's maps
-with batched 2x2 products and only the recurrence runs step by step.
+the step midpoints), one block of steps at a time, and the source
+callbacks take a block's stage times as one array.  One RK4 step of a linear
+ODE is exactly the affine map y -> R_i y + s_i built from M and g at the
+step's node, midpoint and end, so ``rk4_linear`` forms a block's maps with
+batched 2x2 products and only the recurrence runs step by step.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ def _blocks(n: int):
     return ((i0, min(i0 + _BLOCK_STEPS, n)) for i0 in range(0, n, _BLOCK_STEPS))
 
 
-def _sample(fn, t: np.ndarray) -> np.ndarray:
-    """fn at every point of t, one call per point."""
-    return np.fromiter(map(fn, t), float, t.size)
-
-
 def _matrices(m00, m01, m10, m11) -> np.ndarray:
     """Stack entry arrays of equal length K into K 2x2 matrices."""
     return np.array([[m00, m01], [m10, m11]]).transpose(2, 0, 1)
@@ -153,7 +149,8 @@ class SingleModeReduction:
     # ------------------------------------------------------------------
 
     def solve_linearized(self, state, h_fn, T: float, dt: float = 1e-4):
-        """state = (times, mu, phi, S) arrays; returns (times, eta, xi, zeta)."""
+        """state = (times, mu, phi, S) arrays, h_fn maps an array of times to
+        the control variation there; returns (times, eta, xi, zeta)."""
         n = int(round(T / dt))
         stages = np.linspace(0.0, T, 2 * n + 1)
         y = np.zeros((n + 1, 2))
@@ -167,7 +164,7 @@ class SingleModeReduction:
             M = _matrices(eta_xi - lin, eta_zeta,
                           P * eta_xi - dP * drive, P * eta_zeta - P - self.c)
             g = np.zeros((t.size, 2))
-            g[:, 1] = _sample(h_fn, t)
+            g[:, 1] = h_fn(t)
             y[i0:i1 + 1] = block = rk4_linear(M, g, y[i0], T / n)
             eta[i0:i1 + 1] = eta_xi[::2] * block[:, 0] + eta_zeta[::2] * block[:, 1]
         return np.linspace(0.0, T, n + 1), eta, y[:, 0], y[:, 1]
@@ -178,7 +175,8 @@ class SingleModeReduction:
 
     def solve_adjoint(self, state, g1_fn, g3_fn, g2: float, g4: float,
                       T: float, dt: float = 1e-4):
-        """Returns (times, q, p, r) with terminal data (q+p)(T)=g2, r(T)=g4."""
+        """Returns (times, q, p, r) with terminal data (q+p)(T)=g2, r(T)=g4;
+        g1_fn and g3_fn map an array of times to the sources there."""
         n = int(round(T / dt))
         t_stages = T - np.linspace(0.0, T, 2 * n + 1)
         y = np.empty((n + 1, 2))  # (z, r) with z = q + p, at s = 0, h, ..., T
@@ -197,7 +195,7 @@ class SingleModeReduction:
             M = _matrices(c_drive * q_z - lin * (1.0 - q_z),
                           lin * q_r + c_drive * (q_r - 1.0),
                           P * q_z, P * (q_r - 1.0) - self.c)
-            g = np.column_stack((_sample(g1_fn, t), _sample(g3_fn, t)))
+            g = np.stack(np.broadcast_arrays(g1_fn(t), g3_fn(t)), axis=1)
             y[i0:i1 + 1] = block = rk4_linear(M, g, y[i0], T / n)
             q[i0:i1 + 1] = q_z[::2] * block[:, 0] + q_r[::2] * block[:, 1]
         z, r, q = y[::-1, 0], y[::-1, 1], q[::-1]

@@ -108,6 +108,17 @@ def _step_residuals(system, dt, prev, new, u_k, react, f_val):
             (S - S_p) / dt + system.MC @ S + react - u_k)
 
 
+def _adjoint_step_residuals(system, dt, nxt, cur, g1, g3, P, D, df):
+    """Residuals of the three adjoint step equations at (q, p, r) = cur, given the
+    next node's (q, p, r); the fields may stack several nodes as rows."""
+    q_n, p_n, r_n = nxt
+    q, p, r = cur
+    drive = q - r
+    return (q @ system.MA.T - p + P * drive,
+            ((q + p) - (q_n + p_n)) / dt + p @ system.MB.T + df * p - D * drive - g1,
+            (r - r_n) / dt + r @ system.MC.T - P * drive - g3)
+
+
 def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
     a, b = system.potential.domain
     alpha = 1.0
@@ -131,14 +142,17 @@ class StepOperator:
 
     for the couplings P and, in the fully implicit scheme, D = P'(phi)(S - mu).
     It is the Newton Jacobian of the forward step and the linearized step
-    operator.  ``solve`` eliminates S through K and mu through the second row,
-    which leaves one N x N system for phi,
+    operator; its adjoint J* in the grid inner product is the adjoint step
+    operator in (q, p, r).  ``solve`` eliminates S through K and mu through
+    the second row, ``solve_transposed`` r through K and p through the first,
 
-        (G L + I/dt - D + P K^{-1} D) x_phi = b1 + P K^{-1} b3 + G b2,
-        G = A^{2rho} + P - P K^{-1} P.
+        M x_phi = b1 + P K^{-1} b3 + G b2,   M = G L + I/dt - D + P K^{-1} D,
+        M* q = b2 + L (b1 + P K^{-1} b3) - D K^{-1} b3,   G = A^{2rho} + P - P K^{-1} P,
 
-    K^{-1}, G and G (I/dt + B) are formed here, once per coupling; each solve
-    adds the column scaling G diag f' and factors the N x N matrix.
+    with M* the adjoint of M.  K^{-1}, G and G (I/dt + B) are formed here, once
+    per coupling; each solve adds the column scaling G diag f' and factors the
+    N x N matrix.  Neither elimination alone is backward stable; callers
+    refine once against the stacked step residual.
     """
 
     def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
@@ -169,6 +183,20 @@ class StepOperator:
         react = self.P * (x_S - x_mu) + (0.0 if self.D is None else self.D * x_phi)
         return np.concatenate(_step_residuals(self.system, self.dt, (0.0, 0.0, 0.0),
                                               (x_mu, x_phi, x_S), 0.0, react, df * x_phi))
+
+    def solve_transposed(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with J* x = b for the stacked vectors x, b = (q, p, r)."""
+        b1, b2, b3 = b.reshape(3, -1)
+        P, K_inv, G = self.P, self.K_inv, self.G
+        K_b3 = K_inv @ b3
+        c = b1 + P * K_b3
+        rhs = b2 + c / self.dt + self.system.MB @ c + df * c
+        if self.D is not None:
+            rhs -= self.D * K_b3
+        # M* = W^{-1} M^T W: the operators are self-adjoint in the grid weights W
+        w = self.system.grid.weights
+        q = np.linalg.solve((self._base + G * df).T, w * rhs) / w
+        return np.concatenate([q, G @ q - c, K_inv @ (b3 + P * q)])
 
 
 def step(system: TumorSystem, cfg: SolverConfig, dt: float,

@@ -142,8 +142,8 @@ def check_single_mode_state(setup: SingleModeSetup, dt: float = 1e-3) -> CheckRe
 def check_single_mode_linearized(setup: SingleModeSetup,
                                  dt: float = 1e-3) -> CheckResult:
     tg, traj = _single_mode_run(setup, dt, SolverConfig(scheme=FULLY_IMPLICIT))
-    h_fn = lambda t: math.sin(t) + 0.5
-    h = np.array([[h_fn(t)] for t in tg.times[1:]])
+    h_fn = lambda t: np.sin(t) + 0.5
+    h = h_fn(tg.times[1:])[:, None]
     lin = solve_linearized(setup.system, tg, traj, h)
     ref_t, _, ref_xi, ref_zeta = setup.reduction.solve_linearized(setup.state, h_fn,
                                                                    setup.T)
@@ -157,8 +157,8 @@ def check_single_mode_adjoint(setup: SingleModeSetup, dt: float = 1e-3) -> Check
     adj = solve_adjoint(setup.system, tg, traj, spec)
     ref_t, _, ref_phi, ref_S = setup.state
     adj_t, ref_q, ref_p, ref_r = setup.reduction.solve_adjoint(
-        setup.state, lambda t: float(np.interp(t, ref_t, ref_phi)),
-        lambda t: float(np.interp(t, ref_t, ref_S)),
+        setup.state, lambda t: np.interp(t, ref_t, ref_phi),
+        lambda t: np.interp(t, ref_t, ref_S),
         0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]), setup.T)
     return _single_mode_result("single_mode_adjoint", tg, adj_t, (
         (adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p), (adj.r[:, 0], ref_r)), dt)

@@ -47,12 +47,12 @@ def generic_run(small_system):
     return system, tg, u, phi0, S0, traj
 
 
-def logarithmic_run(scheme, split_f2_explicit, n_steps=50):
+def logarithmic_run(scheme, split_f2_explicit, n_steps=50, n_points=16):
     """A forward run with the logarithmic potential, P' != 0 and phi beyond the
     potential's convex threshold, so every coupling and both parts of f are live."""
     from tumorctrl import SolverConfig, TimeGrid, solve_forward
 
-    system = build_system(potential=Potential.logarithmic(c1=2.0),
+    system = build_system(n_points=n_points, potential=Potential.logarithmic(c1=2.0),
                           proliferation=Proliferation(p0=2.0, p1=0.5))
     x = system.grid.points
     tg = TimeGrid(0.001 * n_steps, n_steps)

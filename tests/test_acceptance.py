@@ -121,7 +121,7 @@ def _single_mode_errors(dt: float):
     T = 1.0
     tg = TimeGrid(T, int(round(T / dt)))
     u_fn = lambda t: 0.3 * math.cos(2.0 * t)
-    h_fn = lambda t: math.sin(t) + 0.5
+    h_fn = lambda t: np.sin(t) + 0.5
     u = np.array([[u_fn(t)] for t in tg.times[1:]])
     h = np.array([[h_fn(t)] for t in tg.times[1:]])
 
@@ -138,8 +138,8 @@ def _single_mode_errors(dt: float):
     state_ref = red.solve_state(0.2, 0.4, u_fn, T)
     ref_t, ref_mu, ref_phi, ref_S = state_ref
     _, ref_eta, ref_xi, ref_zeta = red.solve_linearized(state_ref, h_fn, T)
-    g1_fn = lambda t: float(np.interp(t, ref_t, ref_phi))
-    g3_fn = lambda t: float(np.interp(t, ref_t, ref_S))
+    g1_fn = lambda t: np.interp(t, ref_t, ref_phi)
+    g3_fn = lambda t: np.interp(t, ref_t, ref_S)
     adj_t, ref_q, ref_p, ref_r = red.solve_adjoint(
         state_ref, g1_fn, g3_fn, 0.5 * float(ref_phi[-1]),
         0.5 * float(ref_S[-1]), T)

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from tumorctrl import (ControlProblemSpec, Field, Proliferation, TimeGrid,
-                       adjoint_residuals, build_adjoint_data, solve_adjoint,
-                       solve_adjoint_viscous_galerkin, solve_forward,
-                       solve_q_algebraic, viscosity_sweep)
+from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, ControlProblemSpec,
+                       DegenerateSystemError, FractionalPower, Potential, Proliferation,
+                       QuadratureGrid, SolverConfig, TimeGrid, TumorSystem,
+                       adjoint_residuals, build_adjoint_data, build_basis, solve_adjoint,
+                       solve_adjoint_viscous_galerkin, solve_forward, viscosity_sweep)
 from tumorctrl.verify import _zero_spec
 
-from conftest import single_mode_system
+from conftest import backward_error, dense_step_matrix, logarithmic_run, single_mode_system
+
+U = np.finfo(float).eps / 2
 
 
 def test_zero_weights_give_zero_adjoint(generic_run):
@@ -48,12 +52,10 @@ def test_q_algebraic_relation_holds(generic_run):
     spec = _zero_spec(tg.n_steps, system.n_points,
                       kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
     adj = solve_adjoint(system, tg, traj, spec)
-    grid = system.grid
     for k in (0, tg.n_steps // 2, tg.n_steps):
-        P = Field(system.proliferation(traj.phi[k]), grid)
-        q = solve_q_algebraic(system.op_A, P, Field(adj.p[k], grid),
-                              Field(adj.r[k], grid))
-        assert np.max(np.abs(q.values - adj.q[k])) <= 1e-9
+        P = system.proliferation(traj.phi[k])
+        q = np.linalg.solve(system.MA + np.diag(P), adj.p[k] + P * adj.r[k])
+        assert np.max(np.abs(q - adj.q[k])) <= 1e-9
 
 
 def test_residuals_small_then_detect_corruption(generic_run):
@@ -83,8 +85,8 @@ def test_single_mode_adjoint_matches_rk4():
 
     state_ref = red.solve_state(0.2, 0.4, u_fn, T)
     ref_t, _, ref_phi, ref_S = state_ref
-    g1_fn = lambda t: float(np.interp(t, ref_t, ref_phi))
-    g3_fn = lambda t: float(np.interp(t, ref_t, ref_S))
+    g1_fn = lambda t: np.interp(t, ref_t, ref_phi)
+    g3_fn = lambda t: np.interp(t, ref_t, ref_S)
     adj_t, ref_q, ref_p, ref_r = red.solve_adjoint(
         state_ref, g1_fn, g3_fn, 0.5 * float(ref_phi[-1]),
         0.5 * float(ref_S[-1]), T)
@@ -149,3 +151,110 @@ def test_step_count_mismatch_rejected(generic_run):
     spec = _zero_spec(tg.n_steps + 1, system.n_points)
     with pytest.raises(ValueError):
         solve_adjoint(system, TimeGrid(tg.T, tg.n_steps + 1), traj, spec)
+
+
+def block_step_adjoint(system, tg, traj, spec):
+    """The adjoint by the earlier direct solver, kept as an oracle: each backward
+    step eliminates q through the algebraic relation and solves the 2N x 2N
+    system in (p, r)."""
+    n, N, dt = tg.n_steps, system.n_points, tg.dt
+    data = build_adjoint_data(traj, spec)
+    P_fun, I = system.proliferation, np.eye(N)
+    q, p, r = (np.zeros((n + 1, N)) for _ in range(3))
+    P_T = P_fun(traj.phi[-1])
+    r[n] = data.g4
+    q[n] = np.linalg.solve(I + system.MA + np.diag(P_T), data.g2 + P_T * data.g4)
+    p[n] = data.g2 - q[n]
+    for k in range(n - 1, -1, -1):
+        P_k = P_fun(traj.phi[k])
+        D_k = P_fun.d1(traj.phi[k]) * (traj.S[k] - traj.mu[k])
+        Qp = np.linalg.inv(system.MA + np.diag(P_k))
+        Qr = Qp * P_k[None, :]
+        A11 = ((I + Qp) / dt + system.MB + np.diag(system.potential.df(traj.phi[k]))
+               - D_k[:, None] * Qp)
+        A12 = Qr / dt - D_k[:, None] * Qr + np.diag(D_k)
+        A21 = -P_k[:, None] * Qp
+        A22 = I / dt + system.MC + np.diag(P_k) - P_k[:, None] * Qr
+        sol = np.linalg.solve(np.block([[A11, A12], [A21, A22]]), np.concatenate([
+            data.g1[k] + (q[k + 1] + p[k + 1]) / dt, data.g3[k] + r[k + 1] / dt]))
+        p[k], r[k] = sol[:N], sol[N:]
+        q[k] = Qp @ p[k] + Qr @ r[k]
+    return q, p, r
+
+
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_adjoint_matches_block_step_oracle(scheme, split_f2_explicit):
+    system, tg, _, traj = logarithmic_run(scheme, split_f2_explicit)
+    spec = _zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    adj = solve_adjoint(system, tg, traj, spec)
+    for num, ref in zip((adj.q, adj.p, adj.r), block_step_adjoint(system, tg, traj, spec)):
+        assert np.max(np.abs(num - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def assert_adjoint_steps_backward_stable(system, tg, traj):
+    """Every backward step solves J* x = b to a backward error of at most 10 u,
+    where J* = W^{-1} J^T W is the adjoint, in the grid inner product with
+    weights W, of the stacked forward step matrix at the node's coefficients."""
+    N = system.n_points
+    spec = _zero_spec(tg.n_steps, N, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    adj = solve_adjoint(system, tg, traj, spec)
+    data = build_adjoint_data(traj, spec)
+    w = np.tile(system.grid.weights, 3)
+    P_fun, dt = system.proliferation, tg.dt
+    for k in range(tg.n_steps):
+        phi = traj.phi[k]
+        J = dense_step_matrix(system, dt, P_fun(phi), system.potential.df(phi),
+                              P_fun.d1(phi) * (traj.S[k] - traj.mu[k]))
+        b = np.concatenate([np.zeros(N), data.g1[k] + (adj.q[k + 1] + adj.p[k + 1]) / dt,
+                            data.g3[k] + adj.r[k + 1] / dt])
+        sol = np.concatenate([adj.q[k], adj.p[k], adj.r[k]])
+        assert backward_error(J.T * w / w[:, None], sol, b) <= 10 * U
+
+
+@pytest.mark.parametrize("n_points", [32, 128, 256])
+def test_adjoint_steps_solve_dense_oracle(n_points):
+    system, tg, _, traj = logarithmic_run(FULLY_IMPLICIT, False, n_steps=5,
+                                          n_points=n_points)
+    assert_adjoint_steps_backward_stable(system, tg, traj)
+
+
+def test_adjoint_steps_solve_dense_oracle_on_graded_grid():
+    # non-uniform weights make the operator matrices self-adjoint in the grid
+    # inner product but not symmetric, so J* differs from J^T
+    N, L = 12, math.pi
+    edges = L * np.linspace(0.0, 1.0, N + 1) ** 1.5
+    grid = QuadratureGrid(0.5 * (edges[1:] + edges[:-1]), np.diff(edges), L)
+    dirichlet = 2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
+    neumann = dirichlet.copy()
+    neumann[0, 0] = neumann[-1, -1] = 1.0
+
+    def power(M, exponent):
+        lam, vecs = eigh(M, np.diag(grid.weights))
+        basis = build_basis("custom", N, grid, eigenvalues=np.maximum(lam, 0.0),
+                            eigvecs=vecs)
+        return FractionalPower(basis, exponent)
+
+    system = TumorSystem(grid, power(dirichlet, 1.0), power(neumann, 1.2),
+                         power(neumann, 1.0), Potential.logarithmic(c1=2.0),
+                         Proliferation(p0=2.0, p1=0.5))
+    assert not np.allclose(system.MA, system.MA.T)
+    x = grid.points
+    tg = TimeGrid(0.005, 5)
+    u = np.broadcast_to(1.0 + 0.5 * np.cos(x), (tg.n_steps, N))
+    traj = solve_forward(system, tg, u, 0.8 * np.sin(x), 2.0 + 0.5 * np.cos(x),
+                         SolverConfig(scheme=FULLY_IMPLICIT))
+    assert_adjoint_steps_backward_stable(system, tg, traj)
+
+
+def test_singular_adjoint_step_names_the_node(monkeypatch, generic_run):
+    system, tg, u, phi0, S0, traj = generic_run
+    spec = _zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(DegenerateSystemError,
+                       match=f"singular adjoint step matrix at node {tg.n_steps - 1}$"):
+        solve_adjoint(system, tg, traj, spec)

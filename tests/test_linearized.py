@@ -52,7 +52,7 @@ def test_single_mode_linearized_matches_rk4():
     T, n = 0.5, 500
     tg = TimeGrid(T, n)
     u_fn = lambda t: 0.3 * math.cos(2.0 * t)
-    h_fn = lambda t: math.sin(t) + 0.5
+    h_fn = lambda t: np.sin(t) + 0.5
     u = np.array([[u_fn(t)] for t in tg.times[1:]])
     h = np.array([[h_fn(t)] for t in tg.times[1:]])
     cfg = SolverConfig(scheme=FULLY_IMPLICIT, newton_tol=1e-12)

@@ -139,9 +139,9 @@ def test_single_mode_references_match_rk4_formulation(model):
         np.testing.assert_array_equal(got, want)
 
     ref_t, _, ref_phi, ref_S = state
-    h_fn = lambda t: math.sin(t) + 0.5
-    g1_fn = lambda t: float(np.interp(t, ref_t, ref_phi))
-    g3_fn = lambda t: float(np.interp(t, ref_t, ref_S))
+    h_fn = lambda t: np.sin(t) + 0.5
+    g1_fn = lambda t: np.interp(t, ref_t, ref_phi)
+    g3_fn = lambda t: np.interp(t, ref_t, ref_S)
     terminal = (0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]))
     pairs = ((red.solve_linearized(state, h_fn, T, dt),
               _rk4_linearized(red, state, h_fn, T, dt)),
