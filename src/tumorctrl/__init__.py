@@ -11,17 +11,15 @@ from .control import (OptimizationReport, OptimizerOptions, control_inner,
                       projected_gradient_descent, reduced_gradient,
                       sample_variational_inequality, stationarity_residual)
 from .errors import (ConfigError, DegenerateSystemError, DomainViolationError,
-                     GridMismatchError, NoSeparationIntervalError,
-                     SeparationFailureError, StepFailureError, TumorCtrlError)
+                     NoSeparationIntervalError, SeparationFailureError,
+                     StepFailureError, TumorCtrlError)
 from .linearized import (LinearizedTrajectory, frechet_remainder_probe,
                          solve_linearized, y_norm)
 from .model import (Potential, Proliferation, SeparationInterval,
                     separation_interval)
 from .problem import ControlProblemSpec
-from .spectral import (BasisKind, Field, FractionalPower, QuadratureGrid,
-                       SpectralBasis, apply_power,
-                       build_basis, from_modal, graph_norm, inner_product,
-                       midpoint_grid, norm, solve_power_plus_mult, to_modal)
+from .spectral import (FractionalPower, QuadratureGrid, SpectralBasis,
+                       build_basis, midpoint_grid, solve_power_plus_mult)
 from .state import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, SolverConfig,
                     StateTrajectory, TimeGrid, discrete_energy,
                     energy_identity_residual, export_trajectory_csv,

@@ -37,8 +37,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.dt_override is not None:
-        if args.dt_override <= 0:
-            raise ConfigError("--dt-override must be positive")
+        if not 0.0 < args.dt_override < np.inf:
+            raise ConfigError("--dt-override must be finite and positive")
         overrides["n_steps"] = max(1, int(round(cfg.T / args.dt_override)))
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

@@ -192,25 +192,32 @@ def _number(mapping, key, path, default, kind=float):
     val = mapping.get(key, default)
     try:
         return kind(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected a number, got {val!r}") from exc
+
+
+def _finite(mapping, key, path, default=None):
+    """mapping[key] as a finite float; a required int or float when default is None."""
+    if default is None:
+        _require(mapping, key, path, (int, float))
+    val = _number(mapping, key, path, default)
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}.{key}: must be finite, got {val!r}")
+    return val
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
-    num = (int, float)
 
     dom = _require(raw, "domain", "", dict)
-    L = float(_require(dom, "L", "domain", num))
+    L = _finite(dom, "L", "domain")
     n_points = int(_require(dom, "n_points", "domain", int))
     if not L > 0 or n_points < 1:
         raise ConfigError("domain: need L > 0 and n_points >= 1")
 
     ops = _require(raw, "operators", "", dict)
-    rho = float(_require(ops, "rho", "operators", num))
-    sigma = float(_require(ops, "sigma", "operators", num))
-    tau = float(_require(ops, "tau", "operators", num))
+    rho, sigma, tau = (_finite(ops, k, "operators") for k in ("rho", "sigma", "tau"))
     if not min(rho, sigma, tau) > 0:
         raise ConfigError("operators: exponents rho, sigma, tau must be positive")
     n_modes = _number(ops, "n_modes", "operators", n_points, int)
@@ -232,12 +239,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     pot_kind = _require(pot, "kind", "potential", str, default="regular")
     if pot_kind not in ("regular", "logarithmic"):
         raise ConfigError(f"potential.kind: unknown kind {pot_kind!r}")
-    if pot_kind == "logarithmic" and not _number(pot, "c1", "potential", 2.0) > 1.0:
+    if pot_kind == "logarithmic" and not _finite(pot, "c1", "potential", 2.0) > 1.0:
         raise ConfigError("potential.c1: the logarithmic potential requires c1 > 1")
 
     prolif = _require(raw, "proliferation", "", dict, {})
-    if not (_number(prolif, "p0", "proliferation", 0.5) >= 0
-            and _number(prolif, "p1", "proliferation", 0.1) >= 0):
+    if not (_finite(prolif, "p0", "proliferation", 0.5) >= 0
+            and _finite(prolif, "p1", "proliferation", 0.1) >= 0):
         raise ConfigError(
             "proliferation: requires a nonnegative bounded rate (p0, p1 >= 0)")
 
@@ -246,7 +253,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     S0_spec = _require(init, "S0", "initial_data", dict, {"preset": "zero"})
 
     tsec = _require(raw, "time", "", dict)
-    T = float(_require(tsec, "T", "time", num))
+    T = _finite(tsec, "T", "time")
     n_steps = int(_require(tsec, "n_steps", "time", int))
     if not T > 0 or n_steps < 1:
         raise ConfigError("time: need T > 0 and n_steps >= 1")
@@ -254,12 +261,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cost = _require(raw, "cost", "", dict, {})
     try:
         kappas = tuple(float(k) for k in cost.get("kappas", (0, 0, 0, 0, 1.0)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("cost.kappas: expected a list of numbers") from exc
     if len(kappas) != 5:
         raise ConfigError("cost.kappas: expected exactly five weights")
-    if not all(k >= 0 for k in kappas):
-        raise ConfigError("cost.kappas: the weights must satisfy kappa_i >= 0")
+    if not all(0 <= k < math.inf for k in kappas):
+        raise ConfigError("cost.kappas: the weights must be finite and satisfy kappa_i >= 0")
     targets = _require(cost, "targets", "cost", dict, {})
     bounds = _require(cost, "bounds", "cost", dict, {})
     u_min = _number(bounds, "u_min", "cost.bounds", -1.0)

@@ -18,10 +18,6 @@ from .state import SolverConfig, StateTrajectory, TimeGrid, solve_forward
 from .system import TumorSystem
 
 
-def _space_time_sq(weights: np.ndarray, dt: float, v: np.ndarray) -> float:
-    return float(dt * np.sum(weights * v * v))
-
-
 def cost_eval(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
               traj: StateTrajectory, spec: ControlProblemSpec) -> float:
     """Five-term tracking cost.
@@ -35,7 +31,6 @@ def cost_eval(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
         raise ValueError("trajectory and time grid disagree on the step count")
     u = np.broadcast_to(np.asarray(u, dtype=float), (n, N))
     w = system.grid.weights
-    dt = time_grid.dt
     k1, k2, k3, k4, k5 = spec.kappas
 
     phi_gap = traj.phi - spec.phi_Q
@@ -43,11 +38,11 @@ def cost_eval(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     phiT_gap = traj.phi[-1] - spec.phi_Omega
     ST_gap = traj.S[-1] - spec.S_Omega
     return (
-        0.5 * k1 * _space_time_sq(w, dt, phi_gap[:-1])
+        0.5 * k1 * control_inner(system, time_grid, phi_gap[:-1], phi_gap[:-1])
         + 0.5 * k2 * float(np.sum(w * phiT_gap * phiT_gap))
-        + 0.5 * k3 * _space_time_sq(w, dt, S_gap[:-1])
+        + 0.5 * k3 * control_inner(system, time_grid, S_gap[:-1], S_gap[:-1])
         + 0.5 * k4 * float(np.sum(w * ST_gap * ST_gap))
-        + 0.5 * k5 * _space_time_sq(w, dt, u)
+        + 0.5 * k5 * control_inner(system, time_grid, u, u)
     )
 
 

@@ -5,10 +5,6 @@ class TumorCtrlError(Exception):
     """Base class for all package errors."""
 
 
-class GridMismatchError(TumorCtrlError):
-    """Operands live on different quadrature grids."""
-
-
 class DomainViolationError(TumorCtrlError):
     """A potential (or its derivatives) was evaluated outside its domain."""
 

@@ -126,14 +126,6 @@ class Proliferation:
         if self.p0 < 0.0 or self.p1 < 0.0:
             raise ValueError("p0 and p1 must be nonnegative")
 
-    @property
-    def sup_bound(self) -> float:
-        return self.p0 + self.p1
-
-    @classmethod
-    def constant(cls, value: float) -> "Proliferation":
-        return cls(p0=0.0, p1=value)
-
     @classmethod
     def zero(cls) -> "Proliferation":
         return cls(p0=0.0, p1=0.0)

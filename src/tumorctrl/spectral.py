@@ -10,18 +10,11 @@ the continuous extension 0**p = 0 for a zero eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSystemError, GridMismatchError
-
-
-class BasisKind(str, Enum):
-    DIRICHLET_LAPLACE = "dirichlet_laplace"
-    NEUMANN_LAPLACE = "neumann_laplace"
-    CUSTOM = "custom"
+from .errors import DegenerateSystemError
 
 
 @dataclass(frozen=True)
@@ -62,41 +55,9 @@ def midpoint_grid(n_points: int, L: float) -> QuadratureGrid:
 
 
 @dataclass(frozen=True)
-class Field:
-    """Real spatial function as grid values with the quadrature inner product."""
-
-    values: np.ndarray
-    grid: QuadratureGrid
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape != self.grid.points.shape:
-            raise ValueError("field values must match the grid size")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
-def _check_same_grid(u: Field, v: Field):
-    if u.grid is not v.grid and not (
-        u.grid.L == v.grid.L and np.array_equal(u.grid.points, v.grid.points)
-    ):
-        raise GridMismatchError("fields live on different grids")
-
-
-def inner_product(u: Field, v: Field) -> float:
-    _check_same_grid(u, v)
-    return float(np.sum(u.grid.weights * u.values * v.values))
-
-
-def norm(v: Field) -> float:
-    return float(np.sqrt(np.sum(v.grid.weights * v.values**2)))
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
     """Eigenvalues and eigenfunction values, discretely orthonormal on the grid."""
 
-    kind: BasisKind
     eigenvalues: np.ndarray
     eigvecs: np.ndarray  # shape (n_points, n_modes), column j = e_j on the grid
     grid: QuadratureGrid
@@ -132,18 +93,19 @@ def build_basis(kind, n_modes: int, grid: QuadratureGrid, *,
     Columns are renormalized in the discrete inner product; this only affects
     the Nyquist sine mode, which otherwise has discrete norm sqrt(2).
     """
-    kind = BasisKind(kind)
+    if kind not in ("dirichlet_laplace", "neumann_laplace", "custom"):
+        raise ValueError(f"unknown basis kind {kind!r}")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     N = grid.n_points
-    if kind is BasisKind.CUSTOM:
+    if kind == "custom":
         if eigenvalues is None or eigvecs is None:
             raise ValueError("custom basis requires eigenvalues and eigvecs")
-        return SpectralBasis(kind, eigenvalues, eigvecs, grid)
+        return SpectralBasis(eigenvalues, eigvecs, grid)
     if n_modes > N:
         raise ValueError(f"at most {N} modes fit on a grid of {N} points")
     x = grid.points
-    if kind is BasisKind.DIRICHLET_LAPLACE:
+    if kind == "dirichlet_laplace":
         j = np.arange(1, n_modes + 1)
         lam = (j * np.pi / grid.L) ** 2
         E = np.sqrt(2.0 / grid.L) * np.sin(np.outer(x, j * np.pi / grid.L))
@@ -154,20 +116,7 @@ def build_basis(kind, n_modes: int, grid: QuadratureGrid, *,
         E[:, 0] = 1.0 / np.sqrt(grid.L)
     nrm = np.sqrt(np.sum(grid.weights[:, None] * E * E, axis=0))
     E = E / nrm
-    return SpectralBasis(kind, lam, E, grid)
-
-
-def to_modal(basis: SpectralBasis, field: Field) -> np.ndarray:
-    """Modal coefficients (v, e_j) under the grid quadrature."""
-    _check_same_grid(field, Field(np.zeros(basis.grid.n_points), basis.grid))
-    return basis.eigvecs.T @ (basis.grid.weights * field.values)
-
-
-def from_modal(basis: SpectralBasis, coeffs: np.ndarray) -> Field:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.n_modes,):
-        raise ValueError("coefficient vector length must equal n_modes")
-    return Field(basis.eigvecs @ coeffs, basis.grid)
+    return SpectralBasis(lam, E, grid)
 
 
 @dataclass(frozen=True)
@@ -200,32 +149,28 @@ class FractionalPower:
         return FractionalPower(self.basis, self.exponent / 2.0)
 
 
-def apply_power(fp: FractionalPower, v: Field) -> Field:
-    coeffs = to_modal(fp.basis, v)
-    return from_modal(fp.basis, fp.scaled_eigenvalues * coeffs)
-
-
-def graph_norm(fp: FractionalPower, v: Field) -> float:
-    """(||v||^2 + ||A^p v||^2)^(1/2) in the quadrature inner product."""
-    return float(np.sqrt(norm(v) ** 2 + norm(apply_power(fp, v)) ** 2))
-
-
-def solve_power_plus_mult(fp: FractionalPower, m: Field, rhs: Field) -> Field:
-    """Solve (A^p + m) x = rhs for a nonnegative multiplier field m."""
-    _check_same_grid(m, rhs)
-    if np.any(m.values < 0.0):
+def solve_power_plus_mult(fp: FractionalPower, m: np.ndarray,
+                          rhs: np.ndarray) -> np.ndarray:
+    """Solve (A^p + diag m) x = rhs on the grid for a nonnegative multiplier m."""
+    m = np.asarray(m, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if m.shape != fp.basis.grid.points.shape or rhs.shape != m.shape:
+        raise ValueError("multiplier and right-hand side must match the grid size")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(rhs))):
+        raise ValueError("multiplier and right-hand side must be finite")
+    if np.any(m < 0.0):
         raise ValueError("multiplier field must be nonnegative")
-    K = fp.matrix + np.diag(m.values)
     try:
-        x = np.linalg.solve(K, rhs.values)
+        x = np.linalg.solve(fp.matrix + np.diag(m), rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystemError("power-plus-multiplier system is singular") from exc
-    sol = Field(x, rhs.grid)
-    res = Field(fp.matrix @ x + m.values * x - rhs.values, rhs.grid)
-    rhs_norm = norm(rhs)
-    if norm(res) > max(1e-9 * rhs_norm, 1e-13):
+    w = fp.basis.grid.weights
+    res_norm = float(np.sqrt(np.sum(w * (fp.matrix @ x + m * x - rhs) ** 2)))
+    rhs_norm = float(np.sqrt(np.sum(w * rhs**2)))
+    # written so that a NaN solution fails too
+    if not res_norm <= max(1e-9 * rhs_norm, 1e-13):
         raise DegenerateSystemError(
             f"power-plus-multiplier solve failed its residual check "
-            f"({norm(res):.3e} vs rhs norm {rhs_norm:.3e})"
+            f"({res_norm:.3e} vs rhs norm {rhs_norm:.3e})"
         )
-    return sol
+    return x

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSystemError, SeparationFailureError, StepFailureError
-from .spectral import Field, solve_power_plus_mult
+from .spectral import solve_power_plus_mult
 from .system import TumorSystem
 
 SEMI_IMPLICIT_P = "semi_implicit_P"
@@ -87,9 +87,7 @@ def initial_mu(system: TumorSystem, phi0: np.ndarray, S0: np.ndarray) -> np.ndar
     """Solve (A^{2rho} + P(phi0)) mu(0) = P(phi0) S0."""
     system.potential.f(phi0)  # raises DomainViolationError outside the domain
     P0 = system.proliferation(phi0)
-    rhs = Field(P0 * S0, system.grid)
-    sol = solve_power_plus_mult(system.op_A, Field(P0, system.grid), rhs)
-    return sol.values
+    return solve_power_plus_mult(system.op_A, P0, P0 * S0)
 
 
 def _step_f(pot, split, phi_new, f2_old):

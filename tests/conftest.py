@@ -80,3 +80,8 @@ def backward_error(J, x, b):
     r = b - J @ x
     return np.linalg.norm(r, np.inf) / (np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf)
                                         + np.linalg.norm(b, np.inf))
+
+
+def grid_norm(grid, v):
+    """L2 norm of grid values v in the grid quadrature."""
+    return float(np.sqrt(np.sum(grid.weights * v**2)))

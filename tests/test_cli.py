@@ -81,6 +81,21 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("proliferation", {"p0": "abc", "p1": 0.1}, "proliferation.p0"),
     ("potential", "regular", "potential"),
     ("control", {"preset": "constant", "value": float("nan")}, "control"),
+    # non-finite numbers: ints that overflow and floats that must be finite
+    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": math.inf},
+     "operators.n_modes"),
+    ("seed", math.inf, "seed"),
+    ("solver", {"newton_max_iter": math.inf}, "solver.newton_max_iter"),
+    ("optimizer", {"max_iters": math.inf}, "optimizer.max_iters"),
+    ("initial_data", {"phi0": {"preset": "sine", "mode": math.inf}},
+     "initial_data.phi0.mode"),
+    ("domain", {"L": math.inf, "n_points": 8}, "domain.L"),
+    ("time", {"T": math.inf, "n_steps": 20}, "time.T"),
+    ("operators", {"rho": math.inf, "sigma": 0.6, "tau": 0.5}, "operators.rho"),
+    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": math.nan}, "operators.tau"),
+    ("potential", {"kind": "logarithmic", "c1": math.inf}, "potential.c1"),
+    ("proliferation", {"p0": 0.5, "p1": math.inf}, "proliferation.p1"),
+    ("cost", {"kappas": [math.inf, 0.0, 1.0, 0.0, 1.0]}, "cost.kappas"),
 ])
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):
@@ -93,6 +108,14 @@ def test_negative_dt_override_rejected(tmp_path):
     cfg_path = small_config(tmp_path)
     assert main(["simulate", "--config", str(cfg_path),
                  "--dt-override", "-0.1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_non_finite_dt_override_rejected(tmp_path, capsys, dt):
+    cfg_path = small_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--dt-override", dt]) == EXIT_CONFIG
+    assert "config error: --dt-override" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

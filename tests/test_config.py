@@ -1,7 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumorctrl import (ConfigError, config_from_dict, parse_config,
                        serialize_config)
@@ -123,3 +126,42 @@ def test_yaml_precision_preserved(tmp_path):
     path.write_text(yaml.safe_dump(d))
     cfg = parse_config(path)
     assert cfg.solver["newton_tol"] == 3.141592653589793e-11
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_SCALARS = st.one_of(st.floats(), st.integers(), st.just(10**400), st.none(),
+                     st.booleans(), st.text(max_size=4))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(edits=st.lists(st.tuples(st.sampled_from(sorted(_key_paths(BASE))),
+                                st.one_of(_SCALARS, _VALUES, st.just(_DELETE))),
+                      min_size=1, max_size=3))
+def test_fuzzed_config_raises_only_config_error(edits):
+    # replaces or deletes entries of a valid config; config_from_dict only
+    # validates, so no fuzzed size allocates anything
+    raw = copy.deepcopy(BASE)
+    for path, value in edits:
+        node = raw
+        for part in path[:-1]:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is _DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        pass

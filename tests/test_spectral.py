@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumorctrl import (DegenerateSystemError, Field, FractionalPower,
-                       GridMismatchError, apply_power, build_basis, from_modal,
-                       graph_norm, inner_product, midpoint_grid, norm,
-                       solve_power_plus_mult, to_modal)
+from tumorctrl import (DegenerateSystemError, FractionalPower, build_basis,
+                       midpoint_grid, solve_power_plus_mult)
+
+from conftest import grid_norm
 
 PI = math.pi
 
@@ -43,37 +43,19 @@ def test_full_gram_identity(grid, kind):
     assert np.max(np.abs(gram - np.eye(grid.n_points))) <= 1e-10
 
 
-def test_modal_round_trip(grid):
-    basis = build_basis("dirichlet_laplace", 8, grid)
-    coeffs = to_modal(basis, Field(basis.eigvecs[:, 1], grid))
-    expected = np.zeros(8)
-    expected[1] = 1.0
-    assert np.allclose(coeffs, expected, atol=1e-12)
-
-    rng = np.random.default_rng(3)
-    v = basis.eigvecs @ rng.standard_normal(8)  # inside the span
-    round_trip = from_modal(basis, to_modal(basis, Field(v, grid)))
-    assert np.max(np.abs(round_trip.values - v)) <= 1e-10
-
-
-def test_from_modal_zero(grid):
-    basis = build_basis("neumann_laplace", 4, grid)
-    assert not np.any(from_modal(basis, np.zeros(4)).values)
-
-
 def test_apply_power_eigenvector(grid):
     basis = build_basis("dirichlet_laplace", 4, grid)
     fp = FractionalPower(basis, 0.75)
-    out = apply_power(fp, Field(basis.eigvecs[:, 1], grid))
-    assert np.allclose(out.values, 4.0**0.75 * basis.eigvecs[:, 1], atol=1e-10)
+    out = fp.matrix @ basis.eigvecs[:, 1]
+    assert np.allclose(out, 4.0**0.75 * basis.eigvecs[:, 1], atol=1e-10)
     assert abs(4.0**0.75 - 2.8284271) < 1e-6
 
 
 def test_apply_power_constant_neumann_mode(grid):
     basis = build_basis("neumann_laplace", 4, grid)
     fp = FractionalPower(basis, 0.5)
-    out = apply_power(fp, Field(np.full(grid.n_points, 2.0), grid))
-    assert np.max(np.abs(out.values)) <= 1e-12
+    out = fp.matrix @ np.full(grid.n_points, 2.0)
+    assert np.max(np.abs(out)) <= 1e-12
 
 
 @settings(deadline=None, max_examples=25)
@@ -81,39 +63,17 @@ def test_apply_power_constant_neumann_mode(grid):
 def test_semigroup_property(p, q, seed):
     grid = midpoint_grid(12, PI)
     basis = build_basis("dirichlet_laplace", 12, grid)
-    v = Field(np.random.default_rng(seed).standard_normal(12), grid)
-    two_step = apply_power(FractionalPower(basis, p),
-                           apply_power(FractionalPower(basis, q), v))
-    one_step = apply_power(FractionalPower(basis, p + q), v)
-    scale = max(norm(one_step), 1e-12)
-    assert norm(Field(two_step.values - one_step.values, grid)) <= 1e-10 * scale
+    v = np.random.default_rng(seed).standard_normal(12)
+    two_step = FractionalPower(basis, p).matrix @ (FractionalPower(basis, q).matrix @ v)
+    one_step = FractionalPower(basis, p + q).matrix @ v
+    scale = max(grid_norm(grid, one_step), 1e-12)
+    assert grid_norm(grid, two_step - one_step) <= 1e-10 * scale
 
 
 def test_negative_exponent_rejected(grid):
     basis = build_basis("dirichlet_laplace", 4, grid)
     with pytest.raises(ValueError):
         FractionalPower(basis, -0.5)
-
-
-def test_inner_product_orthonormality(grid):
-    basis = build_basis("dirichlet_laplace", 4, grid)
-    e1 = Field(basis.eigvecs[:, 0], grid)
-    e2 = Field(basis.eigvecs[:, 1], grid)
-    assert abs(inner_product(e1, e1) - 1.0) <= 1e-12
-    assert abs(inner_product(e1, e2)) <= 1e-12
-
-
-def test_grid_mismatch_rejected(grid):
-    other = midpoint_grid(16, 2 * PI)
-    with pytest.raises(GridMismatchError):
-        inner_product(Field(np.ones(16), grid), Field(np.ones(16), other))
-
-
-def test_graph_norm_eigenvector(grid):
-    basis = build_basis("dirichlet_laplace", 4, grid)
-    fp = FractionalPower(basis, 0.5)
-    val = graph_norm(fp, Field(basis.eigvecs[:, 0], grid))
-    assert abs(val - math.sqrt(2.0)) <= 1e-10  # lambda_1 = 1
 
 
 def test_power_matrix_eigen_action_and_symmetry(grid):
@@ -139,31 +99,31 @@ def test_power_matrix_rank_one_case():
 def test_solve_power_plus_mult_examples(grid):
     basis = build_basis("dirichlet_laplace", grid.n_points, grid)
     fp = FractionalPower(basis, 1.0)  # realizes A^{2 rho} with rho = 0.5
-    e1 = Field(basis.eigvecs[:, 0], grid)
-    zero_m = Field(np.zeros(grid.n_points), grid)
+    e1 = basis.eigvecs[:, 0]
+    zero_m = np.zeros(grid.n_points)
     sol = solve_power_plus_mult(fp, zero_m, e1)
-    assert np.max(np.abs(sol.values - e1.values)) <= 1e-9
+    assert np.max(np.abs(sol - e1)) <= 1e-9
 
     c = 2.5
-    ej = Field(basis.eigvecs[:, 3], grid)
-    sol = solve_power_plus_mult(fp, Field(np.full(grid.n_points, c), grid), ej)
-    expected = ej.values / (basis.eigenvalues[3] + c)
-    assert np.max(np.abs(sol.values - expected)) <= 1e-9
+    ej = basis.eigvecs[:, 3]
+    sol = solve_power_plus_mult(fp, np.full(grid.n_points, c), ej)
+    expected = ej / (basis.eigenvalues[3] + c)
+    assert np.max(np.abs(sol - expected)) <= 1e-9
 
-    zero_rhs = Field(np.zeros(grid.n_points), grid)
+    zero_rhs = np.zeros(grid.n_points)
     sol = solve_power_plus_mult(fp, zero_m, zero_rhs)
-    assert not np.any(sol.values)
+    assert not np.any(sol)
 
 
 def test_solve_power_plus_mult_residual_contract(grid):
     basis = build_basis("dirichlet_laplace", grid.n_points, grid)
     fp = FractionalPower(basis, 1.3)
     rng = np.random.default_rng(7)
-    m = Field(np.abs(rng.standard_normal(grid.n_points)), grid)
-    rhs = Field(rng.standard_normal(grid.n_points), grid)
+    m = np.abs(rng.standard_normal(grid.n_points))
+    rhs = rng.standard_normal(grid.n_points)
     sol = solve_power_plus_mult(fp, m, rhs)
-    res = fp.matrix @ sol.values + m.values * sol.values - rhs.values
-    assert norm(Field(res, grid)) <= 1e-9 * norm(rhs)
+    res = fp.matrix @ sol + m * sol - rhs
+    assert grid_norm(grid, res) <= 1e-9 * grid_norm(grid, rhs)
 
 
 def test_coercivity_of_dirichlet_power(grid):
@@ -171,9 +131,14 @@ def test_coercivity_of_dirichlet_power(grid):
     fp = FractionalPower(basis, 0.5)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        v = Field(rng.standard_normal(grid.n_points), grid)
-        lhs = norm(apply_power(fp, v))
-        assert lhs >= basis.eigenvalues[0] ** 0.5 * norm(v) - 1e-9 * lhs
+        v = rng.standard_normal(grid.n_points)
+        lhs = grid_norm(grid, fp.matrix @ v)
+        assert lhs >= basis.eigenvalues[0] ** 0.5 * grid_norm(grid, v) - 1e-9 * lhs
+
+
+def test_unknown_basis_kind_rejected(grid):
+    with pytest.raises(ValueError, match="basis kind"):
+        build_basis("robin_laplace", 2, grid)
 
 
 def test_non_orthonormal_custom_basis_rejected(grid):
@@ -187,7 +152,27 @@ def test_singular_system_reported():
     grid1 = midpoint_grid(2, PI)
     basis = build_basis("neumann_laplace", 2, grid1)  # lambda_1 = 0
     fp = FractionalPower(basis, 1.0)
-    zero_m = Field(np.zeros(2), grid1)
-    rhs = Field(np.ones(2), grid1)
+    zero_m = np.zeros(2)
+    rhs = np.ones(2)
     with pytest.raises(DegenerateSystemError):
         solve_power_plus_mult(fp, zero_m, rhs)
+
+
+@pytest.mark.parametrize("m, rhs", [
+    (np.ones(15), np.ones(16)),
+    (np.ones(16), np.ones((16, 1))),
+    (np.full(16, np.nan), np.ones(16)),
+    (np.ones(16), np.r_[np.inf, np.ones(15)]),
+    (np.r_[-1.0, np.ones(15)], np.ones(16)),
+])
+def test_solve_power_plus_mult_rejects_malformed_input(grid, m, rhs):
+    fp = FractionalPower(build_basis("dirichlet_laplace", 16, grid), 1.0)
+    with pytest.raises(ValueError):
+        solve_power_plus_mult(fp, m, rhs)
+
+
+def test_solve_power_plus_mult_rejects_nan_solution(grid, monkeypatch):
+    fp = FractionalPower(build_basis("dirichlet_laplace", 16, grid), 1.0)
+    monkeypatch.setattr(np.linalg, "solve", lambda K, b: np.full_like(b, np.nan))
+    with pytest.raises(DegenerateSystemError, match="residual check"):
+        solve_power_plus_mult(fp, np.ones(16), np.ones(16))

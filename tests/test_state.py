@@ -9,10 +9,8 @@ from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
                        energy_identity_residual, initial_mu, load_trajectory,
                        max_mu_inf, pde_residuals, save_trajectory,
                        solve_forward, state)
-from tumorctrl.spectral import Field, norm
-
-from conftest import (backward_error, build_system, dense_step_matrix, logarithmic_run,
-                      single_mode_system)
+from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
+                      logarithmic_run, single_mode_system)
 
 U = np.finfo(float).eps / 2
 
@@ -40,7 +38,7 @@ def test_initial_mu_examples():
     mu0 = initial_mu(system, np.zeros(N), np.ones(N))
     assert np.max(np.abs(mu0)) <= 1e-12
 
-    system = build_system(proliferation=Proliferation.constant(1.0))
+    system = build_system(proliferation=Proliferation(p0=0.0, p1=1.0))
     e1 = system.op_A.basis.eigvecs[:, 0]  # lambda_1 = 1, exponent 2*rho = 1
     mu0 = initial_mu(system, np.zeros(system.n_points), e1)
     assert np.max(np.abs(mu0 - e1 / 2.0)) <= 1e-9
@@ -57,8 +55,8 @@ def test_initial_mu_norm_bound():
     mu0 = initial_mu(system, phi0, S0)
     lam1 = system.op_A.basis.eigenvalues[0]
     P0 = system.proliferation(phi0)
-    bound = lam1 ** (-1.4) * norm(Field(P0 * S0, system.grid))
-    assert norm(Field(mu0, system.grid)) <= bound + 1e-12
+    bound = lam1 ** (-1.4) * grid_norm(system.grid, P0 * S0)
+    assert grid_norm(system.grid, mu0) <= bound + 1e-12
 
 
 def test_zero_equilibrium():
