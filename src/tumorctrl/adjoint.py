@@ -7,9 +7,10 @@ The adjoint triple (q, p, r) satisfies an algebraic equation for q,
 plus backward evolution equations for p + q and r with terminal data
 (q+p)(T) = g2, r(T) = g4.  The direct solver's backward Euler step is J*,
 the adjoint of the forward step matrix at node k's P, P'(phi)(S - mu) and f',
-solved by ``state.StepOperator.solve_transposed`` plus one sweep of iterative
-refinement.  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt term,
-integrated in modal coordinates) is kept as an independent cross-check.
+solved by ``state.StepOperator.solve_refined``: the transposed elimination
+plus one sweep of iterative refinement.  A vanishing-viscosity Galerkin solver
+(extra -(1/n) dq/dt term, integrated in modal coordinates) is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import DegenerateSystemError
 from .problem import ControlProblemSpec
 from .state import StateTrajectory, StepOperator, TimeGrid, _adjoint_step_residuals
 from .system import TumorSystem
+
+VISCOSITY_LEVELS = (10, 100, 1000, 10000)  # the n of the viscosity 1/n, coarse to fine
 
 
 @dataclass(frozen=True)
@@ -90,19 +93,12 @@ def solve_adjoint(system: TumorSystem, time_grid: TimeGrid,
         D_k = P_fun.d1(traj.phi[k]) * (traj.S[k] - traj.mu[k])
         df_k = pot.df(traj.phi[k])
         nxt = (q[k + 1], p[k + 1], r[k + 1])
-        x = np.zeros(3 * N)
         try:
             op = StepOperator(system, dt, P_k, D_k)
-            # two corrections by the step residual, starting from zero: the
-            # elimination alone is not backward stable, and the second
-            # correction, one sweep of iterative refinement, makes it so
-            for _ in range(2):
-                res = _adjoint_step_residuals(system, dt, nxt, x.reshape(3, N),
-                                              data.g1[k], data.g3[k], P_k, D_k, df_k)
-                x = x - op.solve_transposed(df_k, np.concatenate(res))
+            q[k], p[k], r[k] = op.solve_refined(df_k, lambda x: _adjoint_step_residuals(
+                system, dt, nxt, x, data.g1[k], data.g3[k], P_k, D_k, df_k), transposed=True)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular adjoint step matrix at node {k}") from exc
-        q[k], p[k], r[k] = x.reshape(3, N)
 
     return AdjointTrajectory(q=q, p=p, r=r)
 
@@ -222,13 +218,13 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
 
 
 def viscosity_sweep(system: TumorSystem, time_grid: TimeGrid,
-                    traj: StateTrajectory, spec: ControlProblemSpec,
-                    n_values=(10, 100, 1000, 10000)) -> np.ndarray:
-    """Max node-norm discrepancy between viscous and direct adjoints per n."""
+                    traj: StateTrajectory, spec: ControlProblemSpec) -> np.ndarray:
+    """Max node-norm discrepancy between viscous and direct adjoints, one per
+    entry of VISCOSITY_LEVELS."""
     direct = solve_adjoint(system, time_grid, traj, spec)
     w = system.grid.weights
-    out = np.empty(len(n_values))
-    for i, n_visc in enumerate(n_values):
+    out = np.empty(len(VISCOSITY_LEVELS))
+    for i, n_visc in enumerate(VISCOSITY_LEVELS):
         visc = solve_adjoint_viscous_galerkin(system, time_grid, traj, spec, n_visc)
         diff2 = (np.sum(w * (visc.q - direct.q) ** 2, axis=1)
                  + np.sum(w * (visc.p - direct.p) ** 2, axis=1)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import viscosity_sweep
+from .adjoint import VISCOSITY_LEVELS, viscosity_sweep
 from .config import ExperimentConfig, parse_config, serialize_config
 from .control import project_admissible, projected_gradient_descent
 from .errors import ConfigError, TumorCtrlError
@@ -157,12 +157,11 @@ def cmd_adjoint_check(args) -> int:
     spec = cfg.build_problem_spec(system)
     u = cfg.build_control(system)
     traj = solve_forward(system, tg, u, phi0, S0, cfg.build_solver_config())
-    n_values = (10, 100, 1000, 10000)
-    sweep = viscosity_sweep(system, tg, traj, spec, n_values)
+    sweep = viscosity_sweep(system, tg, traj, spec)
 
     out = _out_dir(cfg)
     np.savetxt(out / "viscosity_sweep.csv",
-               np.column_stack([np.asarray(n_values, dtype=float), sweep]),
+               np.column_stack([np.asarray(VISCOSITY_LEVELS, dtype=float), sweep]),
                delimiter=",", header="n_viscosity,discrepancy", comments="")
     result = viscosity_sweep_result(sweep)
     _say(args, f"adjoint-check: final={result.value:.3e}, {result.detail} "

@@ -9,7 +9,7 @@ inside the potential domain).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .model import Potential, Proliferation
 from .problem import ControlProblemSpec
 from .spectral import FractionalPower, build_basis, midpoint_grid
-from .state import SEMI_IMPLICIT_P, SolverConfig, TimeGrid
+from .state import SolverConfig, TimeGrid
 from .system import TumorSystem
 
 _OPERATOR_KINDS = ("dirichlet_laplace", "neumann_laplace")
@@ -78,14 +78,7 @@ class ExperimentConfig:
         return TimeGrid(T=self.T, n_steps=self.n_steps)
 
     def build_solver_config(self) -> SolverConfig:
-        s = self.solver
-        return _checked("solver", SolverConfig,
-            newton_tol=_number(s, "newton_tol", "solver", 1e-10),
-            newton_max_iter=_number(s, "newton_max_iter", "solver", 50, int),
-            damping=_number(s, "damping", "solver", 0.95),
-            scheme=s.get("scheme", SEMI_IMPLICIT_P),
-            split_f2_explicit=bool(s.get("split_f2_explicit", False)),
-        )
+        return _settings("solver", SolverConfig, self.solver)
 
     def build_initial_data(self, system: TumorSystem):
         x = system.grid.points
@@ -125,18 +118,24 @@ class ExperimentConfig:
         return np.tile(profile, (self.n_steps, 1))
 
     def build_optimizer_options(self) -> OptimizerOptions:
-        o = self.optimizer
-        return _checked("optimizer", OptimizerOptions,
-            step0=_number(o, "step0", "optimizer", 1.0),
-            armijo_c=_number(o, "armijo_c", "optimizer", 1e-4),
-            shrink=_number(o, "shrink", "optimizer", 0.5),
-            max_iters=_number(o, "max_iters", "optimizer", 100, int),
-            tol=_number(o, "tol", "optimizer", 1e-6),
-        )
+        return _settings("optimizer", OptimizerOptions, self.optimizer)
 
 
-def _checked(section: str, cls, **kwargs):
-    """cls(**kwargs), its ValueError ("<field>: ...") as a ConfigError at section.<field>."""
+def _settings(section: str, cls, given: dict):
+    """cls from the keys the YAML gives, each converted like its field's default
+    (the defaults live in cls alone); a key that names no field, a value of the
+    wrong kind and cls's ValueError ("<field>: ...") are ConfigErrors at section."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, val in given.items():
+        if key not in defaults:
+            raise ConfigError(f"{section}.{key}: unknown key")
+        kind = type(defaults[key])
+        if kind is bool and not isinstance(val, bool):
+            raise ConfigError(f"{section}.{key}: expected true or false, got {val!r}")
+        if kind in (int, float):
+            val = _number(given, key, section, None, kind)
+        kwargs[key] = val
     try:
         return cls(**kwargs)
     except ValueError as exc:

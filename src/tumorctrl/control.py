@@ -17,6 +17,8 @@ from .problem import ControlProblemSpec
 from .state import SolverConfig, StateTrajectory, TimeGrid, solve_forward
 from .system import TumorSystem
 
+MAX_BACKTRACKS = 50  # step reductions per Armijo search before it reports a stall
+
 
 def cost_eval(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
               traj: StateTrajectory, spec: ControlProblemSpec) -> float:
@@ -124,7 +126,6 @@ class OptimizerOptions:
     shrink: float = 0.5
     max_iters: int = 100
     tol: float = 1e-6
-    max_backtracks: int = 50
 
     def __post_init__(self):
         # each message starts with the offending field's name
@@ -132,6 +133,8 @@ class OptimizerOptions:
                          ("shrink", 0 < self.shrink < 1)):
             if not ok:
                 raise ValueError(f"{name}: invalid line-search parameter")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol: must be finite and nonnegative")
 
 
 @dataclass
@@ -183,7 +186,7 @@ def projected_gradient_descent(system: TumorSystem, time_grid: TimeGrid,
 
         gamma = opts.step0
         accepted = False
-        for bt in range(opts.max_backtracks + 1):
+        for bt in range(MAX_BACKTRACKS + 1):
             u_trial = project_admissible(u - gamma * grad, spec)
             traj_trial = solve_forward(system, time_grid, u_trial, phi0, S0, cfg)
             J_trial = cost_eval(system, time_grid, u_trial, traj_trial, spec)

@@ -13,8 +13,10 @@ import numpy as np
 
 from .errors import DegenerateSystemError
 from .state import (SEMI_IMPLICIT_P, SolverConfig, StateTrajectory, StepOperator,
-                    TimeGrid, solve_forward)
+                    TimeGrid, _step_residuals, solve_forward)
 from .system import TumorSystem
+
+PROBE_SCALES = np.logspace(-1, -4, 4)  # the perturbation sizes eps of the remainder probe
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,25 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
     eta, xi, zeta = (np.zeros((n + 1, N)) for _ in range(3))
     for k in range(1, n + 1):
         phi_new, phi_old, xi_old = traj.phi[k], traj.phi[k - 1], xi[k - 1]
+        prev, h_k = (0.0, xi_old, zeta[k - 1]), h[k - 1]
         drive = traj.S[k] - traj.mu[k]
         df_new = pot.df1(phi_new) if split else pot.df(phi_new)
         # the split scheme's f2 is explicit; the semi-implicit P(phi_old) is carried
-        rhs2 = xi_old / dt - pot.df2(phi_old) * xi_old if split else xi_old / dt
+        f_old = pot.df2(phi_old) * xi_old if split else 0.0
+        P = P_fun(phi_old) if semi else P_fun(phi_new)
+        D = None if semi else P_fun.d1(phi_new) * drive
         carried = P_fun.d1(phi_old) * xi_old * drive if semi else 0.0
-        b = np.concatenate([xi_old / dt + carried, rhs2,
-                            zeta[k - 1] / dt + h[k - 1] - carried])
+
+        def residual(x):  # the forward step residual, linearized, at x = (eta, xi, zeta)
+            x_mu, x_phi, x_S = x
+            react = P * (x_S - x_mu) + (carried if D is None else D * x_phi)
+            return _step_residuals(system, dt, prev, x, h_k, react, df_new * x_phi + f_old)
+
         try:
-            op = StepOperator(system, dt, P_fun(phi_old) if semi else P_fun(phi_new),
-                              None if semi else P_fun.d1(phi_new) * drive)
-            x = op.solve(df_new, b)
-            # the elimination alone is not backward stable; one step of
-            # iterative refinement against the stacked operator makes it so
-            x = x + op.solve(df_new, b - op.apply(df_new, x))
+            op = StepOperator(system, dt, P, D)
+            eta[k], xi[k], zeta[k] = op.solve_refined(df_new, residual)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular linearized step matrix at step {k}") from exc
-        eta[k], xi[k], zeta[k] = x.reshape(3, N)
 
     return LinearizedTrajectory(eta=eta, xi=xi, zeta=zeta)
 
@@ -94,14 +98,11 @@ def y_norm(system: TumorSystem, time_grid: TimeGrid,
 def frechet_remainder_probe(system: TumorSystem, time_grid: TimeGrid,
                             u_bar: np.ndarray, h: np.ndarray,
                             phi0: np.ndarray, S0: np.ndarray,
-                            scales=None, cfg: SolverConfig | None = None):
+                            cfg: SolverConfig | None = None):
     """Remainder ||S(u+eps*h) - S(u) - eps*(xi,zeta)||_Y over a sweep of eps.
 
     Returns (eps_array, remainders, fitted log-log slope).
     """
-    if scales is None:
-        scales = np.logspace(-1, -4, 4)
-    scales = np.asarray(scales, dtype=float)
     h = np.asarray(h, dtype=float)
     if not np.any(h):
         raise ValueError("zero variation direction is degenerate")
@@ -110,11 +111,11 @@ def frechet_remainder_probe(system: TumorSystem, time_grid: TimeGrid,
     base = solve_forward(system, time_grid, u_bar, phi0, S0, cfg)
     lin = solve_linearized(system, time_grid, base, h)
 
-    remainders = np.empty(scales.size)
-    for i, eps in enumerate(scales):
+    remainders = np.empty(PROBE_SCALES.size)
+    for i, eps in enumerate(PROBE_SCALES):
         pert = solve_forward(system, time_grid, u_bar + eps * h, phi0, S0, cfg)
         rem_xi = pert.phi - base.phi - eps * lin.xi
         rem_zeta = pert.S - base.S - eps * lin.zeta
         remainders[i] = y_norm(system, time_grid, rem_xi, rem_zeta)
-    slope = float(np.polyfit(np.log(scales), np.log(remainders), 1)[0])
-    return scales, remainders, slope
+    slope = float(np.polyfit(np.log(PROBE_SCALES), np.log(remainders), 1)[0])
+    return PROBE_SCALES.copy(), remainders, slope

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from .errors import DomainViolationError, NoSeparationIntervalError
 
 _LOG_GUARD = 1e-12
+SEPARATION_TOL = 1e-10  # |f - level| that a separation threshold root must reach
 
 
 @dataclass(frozen=True)
@@ -151,21 +152,20 @@ class SeparationInterval:
     b_M: float
 
 
-def separation_interval(potential: Potential, M: float, a0: float, b0: float,
-                        tol: float = 1e-10) -> SeparationInterval:
+def separation_interval(potential: Potential, M: float, a0: float,
+                        b0: float) -> SeparationInterval:
     """Smallest [a_M, b_M] containing [a0, b0] with f < -M left of a_M, f > M right of b_M."""
     if not M > 0.0:
         raise ValueError("M must be positive")
     a, b = potential.domain
     if not (a < a0 <= b0 < b):
         raise ValueError("[a0, b0] must be a compact subinterval of (a, b)")
-    b_M = _threshold_root(potential, M, b0, upper=True, tol=tol)
-    a_M = _threshold_root(potential, M, a0, upper=False, tol=tol)
+    b_M = _threshold_root(potential, M, b0, upper=True)
+    a_M = _threshold_root(potential, M, a0, upper=False)
     return SeparationInterval(a_M=a_M, b_M=b_M)
 
 
-def _threshold_root(potential: Potential, M: float, s0: float, upper: bool,
-                    tol: float) -> float:
+def _threshold_root(potential: Potential, M: float, s0: float, upper: bool) -> float:
     """Bisection for f(z) = +-M toward the relevant domain endpoint."""
     a, b = potential.domain
     target = M if upper else -M
@@ -191,5 +191,5 @@ def _threshold_root(potential: Potential, M: float, s0: float, upper: bool,
             raise NoSeparationIntervalError("f never exceeds the requested level")
     lo, hi = (s0, far) if upper else (far, s0)
     root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    assert abs(g(root)) <= max(tol, 1e-8 * abs(target))
+    assert abs(g(root)) <= max(SEPARATION_TOL, 1e-8 * abs(target))
     return float(root)

@@ -58,8 +58,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # each message starts with the offending field's name
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol: must be positive")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol: must be finite and positive")
         if self.newton_max_iter < 0:
             raise ValueError("newton_max_iter: must be nonnegative")
         if not 0.0 < self.damping <= 1.0:
@@ -97,7 +97,8 @@ def _step_f(pot, split, phi_new, f2_old):
 
 def _step_residuals(system, dt, prev, new, u_k, react, f_val):
     """Residuals of the three step equations at (mu, phi, S) = new, given the
-    reaction term P(phi*) (S - mu) and the step's f."""
+    reaction term P(phi*) (S - mu) and the step's f; with the linearized data,
+    reaction and f, the residuals of the linearized step."""
     mu_p, phi_p, S_p = prev
     mu, phi, S = new
     dphi = (phi - phi_p) / dt
@@ -149,8 +150,9 @@ class StepOperator:
 
     with M* the adjoint of M.  K^{-1}, G and G (I/dt + B) are formed here, once
     per coupling; each solve adds the column scaling G diag f' and factors the
-    N x N matrix.  Neither elimination alone is backward stable; callers
-    refine once against the stacked step residual.
+    N x N matrix.  Neither elimination alone is backward stable, so the linear
+    steps go through ``solve_refined``, which refines once against their
+    stacked step residual.
     """
 
     def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
@@ -165,22 +167,12 @@ class StepOperator:
 
     def solve(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with J x = b for the stacked vectors x, b = (mu, phi, S)."""
-        N = self.P.size
-        b1, b2, b3 = b[:N], b[N:2 * N], b[2 * N:]
+        b1, b2, b3 = b.reshape(3, -1)
         P, D, K_inv, G = self.P, self.D, self.K_inv, self.G
         x_phi = np.linalg.solve(self._base + G * df, b1 + P * (K_inv @ b3) + G @ b2)
         x_mu = x_phi / self.dt + self.system.MB @ x_phi + df * x_phi - b2
         s_rhs = b3 + P * x_mu if D is None else b3 + P * x_mu - D * x_phi
         return np.concatenate([x_mu, x_phi, K_inv @ s_rhs])
-
-    def apply(self, df: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """J x for the stacked vector x = (mu, phi, S): the step residual of x
-        linearized with zero data."""
-        N = self.P.size
-        x_mu, x_phi, x_S = x[:N], x[N:2 * N], x[2 * N:]
-        react = self.P * (x_S - x_mu) + (0.0 if self.D is None else self.D * x_phi)
-        return np.concatenate(_step_residuals(self.system, self.dt, (0.0, 0.0, 0.0),
-                                              (x_mu, x_phi, x_S), 0.0, react, df * x_phi))
 
     def solve_transposed(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with J* x = b for the stacked vectors x, b = (q, p, r)."""
@@ -196,13 +188,22 @@ class StepOperator:
         q = np.linalg.solve((self._base + G * df).T, w * rhs) / w
         return np.concatenate([q, G @ q - c, K_inv @ (b3 + P * q)])
 
+    def solve_refined(self, df: np.ndarray, residual, transposed: bool = False) -> np.ndarray:
+        """Rows (mu, phi, S), or (q, p, r) when transposed, that zero an affine
+        step residual of J (of J*): two corrections from zero, the elimination
+        and then one sweep of iterative refinement, which makes it backward stable."""
+        solve = self.solve_transposed if transposed else self.solve
+        x = np.zeros((3, self.P.size))
+        for _ in range(2):
+            x = x - solve(df, np.concatenate(residual(x))).reshape(3, -1)
+        return x
+
 
 def step(system: TumorSystem, cfg: SolverConfig, dt: float,
          prev: tuple, u_k: np.ndarray, step_index: int = 0) -> tuple:
     """One implicit Euler step; returns (mu, phi, S, newton_iterations)."""
     prev = tuple(np.asarray(v, dtype=float) for v in prev)
     phi_p = prev[1]
-    N = system.n_points
     w = system.grid.weights
     pot, P_fun = system.potential, system.proliferation
     split = cfg.split_f2_explicit
@@ -237,13 +238,11 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
                 op = StepOperator(system, dt, Pv, P_fun.d1(phi) * (S - mu))
             elif op is None:
                 op = StepOperator(system, dt, P_old)
-            delta = op.solve(df_val, -np.concatenate([r1, r2, r3]))
+            d_mu, d_phi, d_S = op.solve(df_val, -np.concatenate([r1, r2, r3])).reshape(3, -1)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
-        alpha = _boundary_step_fraction(system, cfg, phi, delta[N:2 * N])
-        mu = mu + alpha * delta[0:N]
-        phi = phi + alpha * delta[N:2 * N]
-        S = S + alpha * delta[2 * N:]
+        alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
+        mu, phi, S = mu + alpha * d_mu, phi + alpha * d_phi, S + alpha * d_S
 
 
 def _check_separation_margin(system, phi, step_index):

@@ -25,6 +25,8 @@ from .state import (FULLY_IMPLICIT, SolverConfig, TimeGrid,
                     solve_forward)
 from .system import TumorSystem
 
+ALGEBRA_FIELDS = 100  # random fields the operator-algebra check draws
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -51,13 +53,12 @@ def _zero_spec(n_steps, N, u_min=-10.0, u_max=10.0, kappas=(1, 0, 1, 0, 1)):
 # individual checks
 # ----------------------------------------------------------------------
 
-def check_operator_algebra(system: TumorSystem, seed: int,
-                           n_fields: int = 100) -> CheckResult:
+def check_operator_algebra(system: TumorSystem, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     N, w = system.n_points, system.grid.weights
     norm = lambda v: float(np.sqrt(np.sum(w * v**2)))
     worst = 0.0
-    for _ in range(n_fields):
+    for _ in range(ALGEBRA_FIELDS):
         raw = rng.standard_normal(N)
         for op in (system.op_A, system.op_B, system.op_C):
             E = op.basis.eigvecs
@@ -83,7 +84,7 @@ def check_operator_algebra(system: TumorSystem, seed: int,
         res = system.MA @ sol + m * sol - rhs
         worst = max(worst, norm(res) / max(norm(rhs), 1e-12))
     return CheckResult("operator_algebra", worst <= 1e-9, worst, 1e-9,
-                       f"max relative defect over {n_fields} random fields")
+                       f"max relative defect over {ALGEBRA_FIELDS} random fields")
 
 
 def _single_mode_control(t):

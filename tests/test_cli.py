@@ -96,6 +96,17 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("potential", {"kind": "logarithmic", "c1": math.inf}, "potential.c1"),
     ("proliferation", {"p0": 0.5, "p1": math.inf}, "proliferation.p1"),
     ("cost", {"kappas": [math.inf, 0.0, 1.0, 0.0, 1.0]}, "cost.kappas"),
+    # tolerances must be finite: an infinite one accepts a frozen trajectory
+    ("solver", {"newton_tol": math.inf}, "solver.newton_tol"),
+    ("solver", {"newton_tol": -1.0}, "solver.newton_tol"),
+    ("optimizer", {"tol": math.inf}, "optimizer.tol"),
+    ("optimizer", {"tol": -1.0}, "optimizer.tol"),
+    ("optimizer", {"tol": math.nan}, "optimizer.tol"),
+    # misspelt keys and non-boolean switches are not silently ignored
+    ("solver", {"newton_tols": 1e-3}, "solver.newton_tols"),
+    ("optimizer", {"max_backtracks": 5}, "optimizer.max_backtracks"),
+    ("solver", {"split_f2_explicit": "false"}, "solver.split_f2_explicit"),
+    ("solver", {"split_f2_explicit": 1}, "solver.split_f2_explicit"),
 ])
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):

@@ -88,16 +88,13 @@ def test_finite_difference_of_forward_map(generic_run, scheme, split_f2_explicit
     assert np.max(np.abs(fd_zeta - lin.zeta)) <= 1e-5 * max(np.max(np.abs(lin.zeta)), 1.0)
 
 
-@pytest.mark.parametrize("split_f2_explicit", [False, True])
-@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
-def test_linearized_steps_solve_dense_oracle(scheme, split_f2_explicit):
+def assert_linearized_steps_backward_stable(system, tg, traj):
     # every step of the linearized solve, as the stacked system derived from
     # the discrete step
-    system, tg, _, traj = logarithmic_run(scheme, split_f2_explicit)
     h = np.random.default_rng(3).standard_normal((tg.n_steps, system.n_points))
     lin = solve_linearized(system, tg, traj, h)
     pot, P_fun, dt = system.potential, system.proliferation, tg.dt
-    semi = scheme == SEMI_IMPLICIT_P
+    semi, split_f2_explicit = traj.scheme == SEMI_IMPLICIT_P, traj.split_f2_explicit
     for k in range(1, tg.n_steps + 1):
         phi_star = traj.phi[k - 1] if semi else traj.phi[k]
         dP_drive = P_fun.d1(phi_star) * (traj.S[k] - traj.mu[k])
@@ -110,6 +107,22 @@ def test_linearized_steps_solve_dense_oracle(scheme, split_f2_explicit):
                             zeta / dt + h[k - 1] - carried])
         sol = np.concatenate([lin.eta[k], lin.xi[k], lin.zeta[k]])
         assert backward_error(J, sol, b) <= 10 * U
+
+
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_linearized_steps_solve_dense_oracle(scheme, split_f2_explicit):
+    system, tg, _, traj = logarithmic_run(scheme, split_f2_explicit)
+    assert_linearized_steps_backward_stable(system, tg, traj)
+
+
+@pytest.mark.parametrize("n_points", [128, 256])
+def test_linearized_steps_solve_dense_oracle_at_large_n(n_points):
+    # the bare elimination is not backward stable once N is large: this is
+    # where the refinement sweep of the shared refined solve is needed
+    system, tg, _, traj = logarithmic_run(FULLY_IMPLICIT, False, n_steps=5,
+                                          n_points=n_points)
+    assert_linearized_steps_backward_stable(system, tg, traj)
 
 
 def test_singular_linearized_step_names_the_step(monkeypatch, generic_run):
