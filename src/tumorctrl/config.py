@@ -133,8 +133,10 @@ def _settings(section: str, cls, given: dict):
         kind = type(defaults[key])
         if kind is bool and not isinstance(val, bool):
             raise ConfigError(f"{section}.{key}: expected true or false, got {val!r}")
-        if kind in (int, float):
-            val = _number(given, key, section, None, kind)
+        if kind is int:
+            val = _integer(given, key, section)
+        elif kind is float:
+            val = _number(given, key, section, None)
         kwargs[key] = val
     try:
         return cls(**kwargs)
@@ -161,7 +163,7 @@ def _eval_preset(spec: dict, x: np.ndarray, L: float, path: str) -> np.ndarray:
             raise ConfigError(f"{path}.values: expected {x.size} entries")
     else:
         amp = _number(spec, "amplitude", path, 1.0)
-        mode = _number(spec, "mode", path, 1, int)
+        mode = _integer(spec, "mode", path, 1)
         arg = mode * math.pi * x / L
         vals = amp * (np.sin(arg) if preset == "sine" else np.cos(arg))
     if not np.all(np.isfinite(vals)):
@@ -185,14 +187,28 @@ def _require(mapping, key, path, types, default=None):
     return val
 
 
-def _number(mapping, key, path, default, kind=float):
-    """mapping[key] converted by kind (float or int), default when absent."""
+def _number(mapping, key, path, default):
+    """mapping[key] converted to float, default when absent."""
     where = f"{path}.{key}".lstrip(".")
     val = mapping.get(key, default)
     try:
-        return kind(val)
+        return float(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected a number, got {val!r}") from exc
+
+
+def _integer(mapping, key, path, default=None):
+    """mapping[key] as an int: an integer or an integral float, never a boolean;
+    default when absent, and a required key when default is None."""
+    where = f"{path}.{key}".lstrip(".")
+    if key not in mapping and default is None:
+        raise ConfigError(f"{where}: missing required key")
+    val = mapping.get(key, default)
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{where}: expected an integer, got {val!r}")
+    return val
 
 
 def _finite(mapping, key, path, default=None):
@@ -211,7 +227,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     dom = _require(raw, "domain", "", dict)
     L = _finite(dom, "L", "domain")
-    n_points = int(_require(dom, "n_points", "domain", int))
+    n_points = _integer(dom, "n_points", "domain")
     if not L > 0 or n_points < 1:
         raise ConfigError("domain: need L > 0 and n_points >= 1")
 
@@ -219,7 +235,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     rho, sigma, tau = (_finite(ops, k, "operators") for k in ("rho", "sigma", "tau"))
     if not min(rho, sigma, tau) > 0:
         raise ConfigError("operators: exponents rho, sigma, tau must be positive")
-    n_modes = _number(ops, "n_modes", "operators", n_points, int)
+    n_modes = _integer(ops, "n_modes", "operators", n_points)
     if not 1 <= n_modes <= n_points:
         raise ConfigError("operators.n_modes: must be between 1 and n_points")
     kinds = {}
@@ -253,7 +269,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     tsec = _require(raw, "time", "", dict)
     T = _finite(tsec, "T", "time")
-    n_steps = int(_require(tsec, "n_steps", "time", int))
+    n_steps = _integer(tsec, "n_steps", "time")
     if not T > 0 or n_steps < 1:
         raise ConfigError("time: need T > 0 and n_steps >= 1")
 
@@ -285,7 +301,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         control_spec=dict(_require(raw, "control", "", dict, {"preset": "zero"})),
         optimizer=dict(_require(raw, "optimizer", "", dict, {})),
         output_dir=str(raw.get("output_dir", "runs/out")),
-        seed=_number(raw, "seed", "", 0, int),
+        seed=_integer(raw, "seed", "", 0),
     )
     # the solver and optimizer settings are checked by the objects they build
     cfg.build_solver_config()

@@ -7,10 +7,15 @@ Each step solves, for the stacked unknowns (mu, phi, S) at the new node,
     (S+ - S)/dt     + C^{2tau} S+ + P(phi*) (S+ - mu+) = u_k
 
 with phi* = old phi (semi_implicit_P, default) or phi* = phi+ (fully
-implicit).  Newton updates are damped so phi iterates never leave the
-potential domain (fraction-to-the-boundary rule).  Each Newton increment is
-solved by ``StepOperator``, which eliminates mu and S and factors an N x N
-matrix for phi alone.
+implicit).  From the second step on, Newton starts at the extrapolated guess
+2 x_{k-1} - x_{k-2}, or at x_{k-1} when the guess's phi leaves the potential
+domain.  Newton updates are damped so phi iterates never leave the potential
+domain (fraction-to-the-boundary rule).  Each step builds one
+``StepOperator``, which eliminates mu and S and factors an N x N matrix for
+phi alone, at its first iteration.  The semi-implicit Jacobian does not change
+within a step; in the fully implicit scheme the later iterations solve the
+current Jacobian by one sweep of iterative refinement against that operator
+(inexact Newton with a tight forcing term).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .system import TumorSystem
 
 SEMI_IMPLICIT_P = "semi_implicit_P"
 FULLY_IMPLICIT = "fully_implicit"
+_MIN_MARGIN = 1e-12  # the least distance of an accepted phi from the domain boundary
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,11 @@ def _step_f(pot, split, phi_new, f2_old):
     return pot.f1(phi_new) + f2_old if split else pot.f(phi_new)
 
 
+def _matmul(a, b):
+    """a @ b; the scalar zero that starts a refined solve gives 0 without a product."""
+    return a @ b if np.ndim(a) and np.ndim(b) else 0.0
+
+
 def _step_residuals(system, dt, prev, new, u_k, react, f_val):
     """Residuals of the three step equations at (mu, phi, S) = new, given the
     reaction term P(phi*) (S - mu) and the step's f; with the linearized data,
@@ -102,9 +113,9 @@ def _step_residuals(system, dt, prev, new, u_k, react, f_val):
     mu_p, phi_p, S_p = prev
     mu, phi, S = new
     dphi = (phi - phi_p) / dt
-    return (dphi + system.MA @ mu - react,
-            dphi + system.MB @ phi + f_val - mu,
-            (S - S_p) / dt + system.MC @ S + react - u_k)
+    return (dphi + _matmul(system.MA, mu) - react,
+            dphi + _matmul(system.MB, phi) + f_val - mu,
+            (S - S_p) / dt + _matmul(system.MC, S) + react - u_k)
 
 
 def _adjoint_step_residuals(system, dt, nxt, cur, g1, g3, P, D, df):
@@ -113,9 +124,9 @@ def _adjoint_step_residuals(system, dt, nxt, cur, g1, g3, P, D, df):
     q_n, p_n, r_n = nxt
     q, p, r = cur
     drive = q - r
-    return (q @ system.MA.T - p + P * drive,
-            ((q + p) - (q_n + p_n)) / dt + p @ system.MB.T + df * p - D * drive - g1,
-            (r - r_n) / dt + r @ system.MC.T - P * drive - g3)
+    return (_matmul(q, system.MA.T) - p + P * drive,
+            ((q + p) - (q_n + p_n)) / dt + _matmul(p, system.MB.T) + df * p - D * drive - g1,
+            (r - r_n) / dt + _matmul(r, system.MC.T) - P * drive - g3)
 
 
 def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
@@ -152,7 +163,11 @@ class StepOperator:
     per coupling; each solve adds the column scaling G diag f' and factors the
     N x N matrix.  Neither elimination alone is backward stable, so the linear
     steps go through ``solve_refined``, which refines once against their
-    stacked step residual.
+    stacked step residual.  A Newton step builds one operator, at its first
+    iterate.  The fully implicit scheme's later iterates solve their own
+    Jacobian through ``solve_refined`` with it, whose P and D then lag the
+    Jacobian being solved; after the refinement sweep the solve's error is
+    of second order in that lag.
     """
 
     def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
@@ -191,17 +206,20 @@ class StepOperator:
     def solve_refined(self, df: np.ndarray, residual, transposed: bool = False) -> np.ndarray:
         """Rows (mu, phi, S), or (q, p, r) when transposed, that zero an affine
         step residual of J (of J*): two corrections from zero, the elimination
-        and then one sweep of iterative refinement, which makes it backward stable."""
+        and then one sweep of iterative refinement, which makes it backward stable.
+        The first residual is taken at the scalar zero (0, 0, 0), where the
+        residuals' matrix products vanish without being formed."""
         solve = self.solve_transposed if transposed else self.solve
-        x = np.zeros((3, self.P.size))
-        for _ in range(2):
-            x = x - solve(df, np.concatenate(residual(x))).reshape(3, -1)
-        return x
+        x = -solve(df, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
+        return x - solve(df, np.concatenate(residual(x))).reshape(3, -1)
 
 
 def step(system: TumorSystem, cfg: SolverConfig, dt: float,
-         prev: tuple, u_k: np.ndarray, step_index: int = 0) -> tuple:
-    """One implicit Euler step; returns (mu, phi, S, newton_iterations)."""
+         prev: tuple, u_k: np.ndarray, step_index: int = 0,
+         guess: Optional[tuple] = None) -> tuple:
+    """One implicit Euler step from prev, with Newton started at guess when its
+    phi lies strictly inside the potential's domain; returns (mu, phi, S,
+    newton_iterations)."""
     prev = tuple(np.asarray(v, dtype=float) for v in prev)
     phi_p = prev[1]
     w = system.grid.weights
@@ -210,16 +228,19 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
     semi = cfg.scheme == SEMI_IMPLICIT_P
     P_old = P_fun(phi_p)
     f2_old = pot.split_f(phi_p)[1] if split else None
-    op = None
 
-    # Newton starts at the previous state, so the first evaluation of f checks
-    # that phi_p lies in the potential's domain
-    mu, phi, S = (v.copy() for v in prev)
+    # without a usable guess Newton starts at the previous state, so the first
+    # evaluation of f checks that phi_p lies in the potential's domain
+    if guess is not None and _domain_margin(system, guess[1]) > _MIN_MARGIN:
+        mu, phi, S = (np.asarray(v, dtype=float) for v in guess)
+    else:
+        mu, phi, S = prev
     prev_res = np.inf
     for it in range(cfg.newton_max_iter + 1):
         Pv = P_old if semi else P_fun(phi)
-        r1, r2, r3 = _step_residuals(system, dt, prev, (mu, phi, S), u_k, Pv * (S - mu),
-                                     _step_f(pot, split, phi, f2_old))
+        r = _step_residuals(system, dt, prev, (mu, phi, S), u_k, Pv * (S - mu),
+                            _step_f(pot, split, phi, f2_old))
+        r1, r2, r3 = r
         res_norm = float(np.sqrt(np.sum(w * (r1 * r1 + r2 * r2 + r3 * r3))))
         # accept on reaching the tolerance, or on stagnating at the roundoff
         # floor of the linear algebra (tolerances below that floor would
@@ -233,25 +254,38 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
         prev_res = res_norm
 
         df_val = pot.df1(phi) if split else pot.df(phi)
+        D = None if semi else P_fun.d1(phi) * (S - mu)
         try:
-            if not semi:
-                op = StepOperator(system, dt, Pv, P_fun.d1(phi) * (S - mu))
-            elif op is None:
-                op = StepOperator(system, dt, P_old)
-            d_mu, d_phi, d_S = op.solve(df_val, -np.concatenate([r1, r2, r3])).reshape(3, -1)
+            if it == 0:
+                op = StepOperator(system, dt, Pv, D)
+            if semi or it == 0:  # the operator is this iterate's Jacobian
+                d_mu, d_phi, d_S = op.solve(df_val, -np.concatenate(r)).reshape(3, -1)
+            else:
+                def residual(x):  # J x + r, J the Jacobian at this iterate
+                    x_mu, x_phi, x_S = x
+                    Jx = _step_residuals(system, dt, (0.0, 0.0, 0.0), x, 0.0,
+                                         Pv * (x_S - x_mu) + D * x_phi, df_val * x_phi)
+                    return [a + b for a, b in zip(Jx, r)]
+
+                d_mu, d_phi, d_S = op.solve_refined(df_val, residual)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
         alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
         mu, phi, S = mu + alpha * d_mu, phi + alpha * d_phi, S + alpha * d_S
 
 
-def _check_separation_margin(system, phi, step_index):
+def _domain_margin(system, phi) -> float:
+    """Distance of phi from the boundary of the potential's domain."""
     a, b = system.potential.domain
-    margin = min(
+    return min(
         float(np.min(b - phi)) if np.isfinite(b) else np.inf,
         float(np.min(phi - a)) if np.isfinite(a) else np.inf,
     )
-    if margin < 1e-12:
+
+
+def _check_separation_margin(system, phi, step_index):
+    margin = _domain_margin(system, phi)
+    if margin < _MIN_MARGIN:
         raise SeparationFailureError(
             f"step {step_index}: phi within {margin:.3e} of the potential domain boundary"
         )
@@ -277,10 +311,16 @@ def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     mu[0] = initial_mu(system, phi0, S0)
     phi[0], S[0] = phi0, S0
 
+    guess = None
     for k in range(1, n + 1):
+        if k >= 2:  # the second-order predictor, written into the output rows
+            guess = (mu[k], phi[k], S[k])
+            for x in (mu, phi, S):
+                np.multiply(x[k - 1], 2.0, out=x[k])
+                x[k] -= x[k - 2]
         mu[k], phi[k], S[k], iters[k] = step(
             system, cfg, time_grid.dt, (mu[k - 1], phi[k - 1], S[k - 1]),
-            u[k - 1], step_index=k,
+            u[k - 1], step_index=k, guess=guess,
         )
     return StateTrajectory(
         times=time_grid.times, mu=mu, phi=phi, S=S, newton_iterations=iters,

@@ -107,6 +107,25 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("optimizer", {"max_backtracks": 5}, "optimizer.max_backtracks"),
     ("solver", {"split_f2_explicit": "false"}, "solver.split_f2_explicit"),
     ("solver", {"split_f2_explicit": 1}, "solver.split_f2_explicit"),
+    # integer fields take neither booleans nor non-integral floats
+    ("domain", {"L": math.pi, "n_points": True}, "domain.n_points"),
+    ("domain", {"L": math.pi, "n_points": 8.5}, "domain.n_points"),
+    ("time", {"T": 0.05, "n_steps": True}, "time.n_steps"),
+    ("time", {"T": 0.05, "n_steps": 20.5}, "time.n_steps"),
+    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": True},
+     "operators.n_modes"),
+    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": 4.5},
+     "operators.n_modes"),
+    ("initial_data", {"phi0": {"preset": "sine", "mode": True}},
+     "initial_data.phi0.mode"),
+    ("initial_data", {"phi0": {"preset": "sine", "mode": 1.5}},
+     "initial_data.phi0.mode"),
+    ("seed", True, "seed"),
+    ("seed", 1.9, "seed"),
+    ("solver", {"newton_max_iter": True}, "solver.newton_max_iter"),
+    ("solver", {"newton_max_iter": 2.7}, "solver.newton_max_iter"),
+    ("optimizer", {"max_iters": False}, "optimizer.max_iters"),
+    ("optimizer", {"max_iters": 0.5}, "optimizer.max_iters"),
 ])
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):

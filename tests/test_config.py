@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,3 +166,28 @@ def test_fuzzed_config_raises_only_config_error(edits):
         config_from_dict(raw)
     except ConfigError:
         pass
+
+
+_INTEGER_FIELDS = (("domain", "n_points"), ("operators", "n_modes"),
+                   ("initial_data", "phi0", "mode"), ("time", "n_steps"), ("seed",),
+                   ("solver", "newton_max_iter"), ("optimizer", "max_iters"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(path=st.sampled_from(_INTEGER_FIELDS),
+       value=st.one_of(st.booleans(), st.floats().filter(lambda v: not v.is_integer())))
+def test_integer_fields_reject_booleans_and_fractions(path, value):
+    raw = copy.deepcopy(BASE)
+    node = raw
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError, match="^" + re.escape(".".join(path)) + ": "):
+        cfg = config_from_dict(raw)
+        cfg.build_initial_data(cfg.build_system())  # presets are read when built
+
+
+def test_integral_floats_are_integers():
+    cfg = config_from_dict(deep({"seed": 3.0, "solver.newton_max_iter": 7.0}))
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    assert cfg.build_solver_config().newton_max_iter == 7

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,23 +68,23 @@ def test_single_mode_linearized_matches_rk4():
 
 @pytest.mark.parametrize("split_f2_explicit", [False, True])
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
-def test_finite_difference_of_forward_map(generic_run, scheme, split_f2_explicit):
-    # the linearized solve is the exact derivative of the discrete step,
-    # so a centered difference of the forward map converges to it
-    system, tg, u, phi0, S0, _ = generic_run
-    cfg = SolverConfig(scheme=scheme, split_f2_explicit=split_f2_explicit)
-    traj = solve_forward(system, tg, u, phi0, S0, cfg)
-    rng = np.random.default_rng(4)
-    h = rng.standard_normal((tg.n_steps, system.n_points))
+def test_finite_difference_of_forward_map(scheme, split_f2_explicit):
+    # the linearized solve is the exact derivative of the discrete step, so a
+    # centered difference of the forward map converges to it.  The run couples
+    # strongly (P = (2.0, 0.5), phi near +-0.8, so P', D and both parts of f
+    # are live): a dropped or sign-flipped coupling moves xi by 0.5% or more.
+    # Newton stops the step residual, which scales like 1/dt, under newton_tol,
+    # so its noise in the difference is about dt * newton_tol / eps = 1e-13.
+    system, tg, u, traj = logarithmic_run(scheme, split_f2_explicit)
+    h = np.random.default_rng(4).standard_normal(u.shape)
     lin = solve_linearized(system, tg, traj, h)
-    eps = 1e-6
-    cfg = replace(cfg, newton_tol=1e-13)
-    plus = solve_forward(system, tg, u + eps * h, phi0, S0, cfg)
-    minus = solve_forward(system, tg, u - eps * h, phi0, S0, cfg)
-    fd_xi = (plus.phi - minus.phi) / (2 * eps)
-    fd_zeta = (plus.S - minus.S) / (2 * eps)
-    assert np.max(np.abs(fd_xi - lin.xi)) <= 1e-5 * max(np.max(np.abs(lin.xi)), 1.0)
-    assert np.max(np.abs(fd_zeta - lin.zeta)) <= 1e-5 * max(np.max(np.abs(lin.zeta)), 1.0)
+    eps = 1e-3
+    cfg = SolverConfig(scheme=scheme, split_f2_explicit=split_f2_explicit, newton_tol=1e-13)
+    plus, minus = (solve_forward(system, tg, u + s * eps * h, traj.phi[0], traj.S[0], cfg)
+                   for s in (1.0, -1.0))
+    for fd, exact in (((plus.phi - minus.phi) / (2 * eps), lin.xi),
+                      ((plus.S - minus.S) / (2 * eps), lin.zeta)):
+        assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 def assert_linearized_steps_backward_stable(system, tg, traj):

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
-                       Potential, Proliferation, SolverConfig, StepFailureError,
-                       TimeGrid, discrete_energy,
+                       DomainViolationError, Potential, Proliferation, SolverConfig,
+                       StepFailureError, TimeGrid, discrete_energy,
                        energy_identity_residual, initial_mu, load_trajectory,
-                       max_mu_inf, pde_residuals, save_trajectory,
+                       max_mu_inf, parse_config, pde_residuals, save_trajectory,
                        solve_forward, state)
 from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
                       logarithmic_run, single_mode_system)
@@ -114,7 +116,6 @@ def test_pde_residuals_and_sensitivity(generic_run):
 
     corrupted = traj.phi.copy()
     corrupted[5:] += 1e-3
-    from dataclasses import replace
     bad = replace(traj, phi=corrupted)
     assert np.max(pde_residuals(system, bad, u)) >= 1e-5
 
@@ -277,3 +278,55 @@ def test_singular_step_matrix_names_the_step(monkeypatch, factorization):
     monkeypatch.setattr(np.linalg, factorization, singular)
     with pytest.raises(DegenerateSystemError, match="singular step matrix at step 7$"):
         state.step(system, SolverConfig(), 0.01, prev, 0.2 * np.ones(16), step_index=7)
+
+
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_guess_outside_domain_falls_back_to_previous_state(scheme):
+    system, tg, u, traj = logarithmic_run(scheme, False)
+    cfg = SolverConfig(scheme=scheme)
+    prev = (traj.mu[24], traj.phi[24], traj.S[24])
+    guess = (traj.mu[24], 2.0 * traj.phi[24] / np.max(np.abs(traj.phi[24])), traj.S[24])
+    assert np.max(np.abs(guess[1])) >= 1.0
+    from_guess = state.step(system, cfg, tg.dt, prev, u[24], step_index=25, guess=guess)
+    from_prev = state.step(system, cfg, tg.dt, prev, u[24], step_index=25)
+    for a, b in zip(from_guess, from_prev):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(from_guess[1] - traj.phi[25])) <= 1e-9
+
+
+@pytest.mark.parametrize("split_f2_explicit", [False, True])
+def test_previous_state_outside_domain_raises_without_guess(split_f2_explicit):
+    system = build_system(potential=Potential.logarithmic(c1=2.0))
+    x = system.grid.points
+    phi, S = 1.2 * np.sin(x), 0.4 * np.ones(16)
+    cfg = SolverConfig(split_f2_explicit=split_f2_explicit)
+    with pytest.raises(DomainViolationError):
+        state.step(system, cfg, 0.01, (np.zeros(16), phi, S), 0.2 * np.ones(16),
+                   step_index=7)
+
+
+def test_extrapolated_start_takes_one_newton_iteration():
+    # the default physics, reduced to N = 16 and 500 steps of the default dt
+    default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    cfg = replace(default, n_points=16, n_modes=16, T=0.5, n_steps=500)
+    system = cfg.build_system()
+    phi0, S0 = cfg.build_initial_data(system)
+    traj = solve_forward(system, cfg.build_time_grid(), cfg.build_control(system),
+                         phi0, S0, cfg.build_solver_config())
+    assert np.mean(traj.newton_iterations[1:] == 1) >= 0.9
+
+
+def test_fully_implicit_run_matches_tight_reference():
+    # inexact Newton stops just under newton_tol; the state it accepts stays
+    # within that level of one solved to the round-off floor
+    system = build_system(n_points=64, potential=Potential.logarithmic(c1=2.0),
+                          proliferation=Proliferation(p0=2.0, p1=0.5))
+    x = system.grid.points
+    tg = TimeGrid(1.0, 100)
+    u = np.broadcast_to(1.0 + 0.5 * np.cos(x), (tg.n_steps, system.n_points))
+    phi0, S0 = 0.9 * np.sin(x), 2.0 + 0.5 * np.cos(x)
+    traj, ref = (solve_forward(system, tg, u, phi0, S0,
+                               SolverConfig(scheme=FULLY_IMPLICIT, newton_tol=tol))
+                 for tol in (1e-10, 1e-13))
+    for num, exact in ((traj.mu, ref.mu), (traj.phi, ref.phi), (traj.S, ref.S)):
+        assert np.max(np.abs(num - exact)) <= 1e-9 * np.max(np.abs(exact))
