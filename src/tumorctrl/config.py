@@ -1,15 +1,21 @@
-"""Experiment configuration: YAML schema, validation, and object builders.
+"""Experiment configuration: the YAML file read once into typed objects.
 
-Every run is described by one YAML file.  Validation errors carry the key
-path of the offending entry and name the violated model requirement (for
-example nonnegative cost weights, ordered control bounds, or initial data
-inside the potential domain).
+Every run is described by one YAML file.  The keys of a section are the
+fields of the class it builds: Potential, Proliferation, SolverConfig,
+OptimizerOptions, a Preset per spatial field, and ExperimentConfig's own
+flat fields, which _PATHS places in the file.  Each default and each
+requirement lives in its class alone.  One reader converts every value by
+its field's type, so an unknown key, a boolean in a numeric field and a
+class's ValueError ("<field>: ...") are all ConfigErrors at the key path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from contextlib import suppress
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -18,40 +24,135 @@ from .control import OptimizerOptions
 from .errors import ConfigError
 from .model import Potential, Proliferation
 from .problem import ControlProblemSpec
-from .spectral import FractionalPower, build_basis, midpoint_grid
+from .spectral import FractionalPower, QuadratureGrid, build_basis, midpoint_grid
 from .state import SolverConfig, TimeGrid
 from .system import TumorSystem
 
 _OPERATOR_KINDS = ("dirichlet_laplace", "neumann_laplace")
-_FIELD_PRESETS = ("zero", "constant", "sine", "cosine", "values")
+# the operators are dense N x N matrices, 2 GB each at this many points
+_MAX_POINTS = 2**14
+# the keys each preset reads, with their defaults
+_PRESETS = {"zero": {}, "constant": {"value": 0.0},
+            "sine": {"amplitude": 1.0, "mode": 1},
+            "cosine": {"amplitude": 1.0, "mode": 1}, "values": {"values": ()}}
 
 
 @dataclass(frozen=True)
+class Preset:
+    """A spatial profile: the preset's name and only the keys that preset reads."""
+
+    preset: str = "zero"
+    value: float = None
+    amplitude: float = None
+    mode: int = None
+    values: tuple = None
+
+    def __post_init__(self):
+        # each message starts with the offending field's name
+        if self.preset not in _PRESETS:
+            raise ValueError(f"preset: unknown preset {self.preset!r}")
+        reads = _PRESETS[self.preset]
+        for name in ("value", "amplitude", "mode", "values"):
+            if name in reads and getattr(self, name) is None:
+                object.__setattr__(self, name, reads[name])
+            elif name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"{name}: unknown key for preset {self.preset!r}")
+
+    def on(self, grid: QuadratureGrid) -> np.ndarray:
+        """The profile at the grid points."""
+        x = grid.points
+        if self.preset in ("sine", "cosine"):
+            wave = np.sin if self.preset == "sine" else np.cos
+            return self.amplitude * wave(self.mode * math.pi * x / grid.L)
+        if self.preset == "values":
+            return np.array(self.values, dtype=float)
+        return np.zeros_like(x) if self.preset == "zero" else np.full_like(x, self.value)
+
+
+@dataclass(frozen=True)
+class Targets:
+    """The tracking targets of the cost functional."""
+
+    phi_Q: Preset = Preset()
+    S_Q: Preset = Preset()
+    phi_Omega: Preset = Preset()
+    S_Omega: Preset = Preset()
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """A run's settings; _PATHS gives each field's key path in the YAML file."""
+
     L: float
     n_points: int
-    n_modes: int
+    n_modes: int = None  # n_points unless given
     rho: float
     sigma: float
     tau: float
-    kind_A: str
-    kind_B: str
-    kind_C: str
-    potential: dict
-    proliferation: dict
-    phi0_spec: dict
-    S0_spec: dict
+    kind_A: str = "dirichlet_laplace"
+    kind_B: str = "neumann_laplace"
+    kind_C: str = "neumann_laplace"
+    potential: Potential = Potential()
+    proliferation: Proliferation = Proliferation()
+    phi0_spec: Preset = Preset()
+    S0_spec: Preset = Preset()
     T: float
     n_steps: int
-    solver: dict
-    kappas: tuple
-    targets: dict
-    u_min: float
-    u_max: float
-    control_spec: dict
-    optimizer: dict
-    output_dir: str
-    seed: int
+    solver: SolverConfig = SolverConfig()
+    kappas: tuple = (0.0, 0.0, 0.0, 0.0, 1.0)
+    targets: Targets = Targets()
+    u_min: float = -1.0
+    u_max: float = 1.0
+    control_spec: Preset = Preset()
+    optimizer: OptimizerOptions = OptimizerOptions()
+    output_dir: str = "runs/out"
+    seed: int = 0
+
+    def __post_init__(self):
+        # each message starts with the offending field's name
+        if self.n_modes is None:
+            object.__setattr__(self, "n_modes", self.n_points)
+        if not 1e-100 <= self.L <= 1e100:  # keeps each (j pi / L)^2 a normal float
+            raise ValueError("L: must lie between 1e-100 and 1e100")
+        for name in ("rho", "sigma", "tau", "T"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and positive")
+        if not 1 <= self.n_points <= _MAX_POINTS:
+            raise ValueError(f"n_points: must be between 1 and {_MAX_POINTS}")
+        if not 1 <= self.n_modes <= self.n_points:
+            raise ValueError("n_modes: must be between 1 and n_points")
+        if self.n_steps < 1:
+            raise ValueError("n_steps: must be at least 1")
+        for name in ("kind_A", "kind_B", "kind_C"):
+            if getattr(self, name) not in _OPERATOR_KINDS:
+                raise ValueError(f"{name}: unknown kind {getattr(self, name)!r}")
+        if self.kind_A == "neumann_laplace":
+            raise ValueError(
+                "kind_A: the first operator needs a strictly positive first "
+                "eigenvalue (lambda_1 > 0); the constant Neumann mode breaks this")
+        if len(self.kappas) != 5 or not all(0.0 <= k < math.inf for k in self.kappas):
+            raise ValueError("kappas: expected five finite weights kappa_i >= 0")
+        if not self.u_min <= self.u_max:
+            raise ValueError("u_min: admissibility requires u_min <= u_max")
+        grid = midpoint_grid(self.n_points, self.L)
+        a, b = self.potential.domain
+        for name, preset in self._presets():
+            with np.errstate(all="ignore"):
+                vals = preset.on(grid)
+            if vals.shape != grid.points.shape:
+                raise ValueError(f"{name}.values: expected {self.n_points} entries")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{name}: values must be finite")
+            if name == "phi0_spec" and (np.any(vals <= a) or np.any(vals >= b)):
+                raise ValueError(
+                    f"{name}: values must lie in a compact subinterval of the "
+                    f"potential domain ({a}, {b})")
+
+    def _presets(self):
+        yield from (("phi0_spec", self.phi0_spec), ("S0_spec", self.S0_spec),
+                    ("control_spec", self.control_spec))
+        for f in fields(Targets):
+            yield f"targets.{f.name}", getattr(self.targets, f.name)
 
     # ------------------------------------------------------------------
     # builders
@@ -65,248 +166,127 @@ class ExperimentConfig:
                                  ("C", self.kind_C, 2 * self.tau)):
             basis = build_basis(kind, self.n_modes, grid)
             op[name] = FractionalPower(basis, expo)
-        if self.potential.get("kind", "regular") == "regular":
-            potential = Potential.regular()
-        else:
-            potential = Potential.logarithmic(c1=float(self.potential.get("c1", 2.0)))
-        prolif = Proliferation(p0=float(self.proliferation.get("p0", 0.5)),
-                               p1=float(self.proliferation.get("p1", 0.1)))
         return TumorSystem(grid=grid, op_A=op["A"], op_B=op["B"], op_C=op["C"],
-                           potential=potential, proliferation=prolif)
+                           potential=self.potential, proliferation=self.proliferation)
 
     def build_time_grid(self) -> TimeGrid:
         return TimeGrid(T=self.T, n_steps=self.n_steps)
 
     def build_solver_config(self) -> SolverConfig:
-        return _settings("solver", SolverConfig, self.solver)
+        return self.solver
 
     def build_initial_data(self, system: TumorSystem):
-        x = system.grid.points
-        phi0 = _eval_preset(self.phi0_spec, x, self.L, "initial_data.phi0")
-        S0 = _eval_preset(self.S0_spec, x, self.L, "initial_data.S0")
-        a, b = system.potential.domain
-        if np.any(phi0 <= a) or np.any(phi0 >= b):
-            raise ConfigError(
-                "initial_data.phi0: values must lie in a compact subinterval of "
-                f"the potential domain ({a}, {b})")
-        return phi0, S0
+        return self.phi0_spec.on(system.grid), self.S0_spec.on(system.grid)
 
     def build_problem_spec(self, system: TumorSystem) -> ControlProblemSpec:
-        x = system.grid.points
-        tg = self.targets
-
-        def spatial(key):
-            return _eval_preset(tg.get(key, {"preset": "zero"}), x, self.L,
-                                f"cost.targets.{key}")
-
-        phi_Q = spatial("phi_Q")
-        S_Q = spatial("S_Q")
+        grid, tg = system.grid, self.targets
+        shape = (self.n_steps + 1, self.n_points)
         return ControlProblemSpec(
             kappas=np.asarray(self.kappas, dtype=float),
-            phi_Q=np.broadcast_to(phi_Q, (self.n_steps + 1, self.n_points)),
-            S_Q=np.broadcast_to(S_Q, (self.n_steps + 1, self.n_points)),
-            phi_Omega=spatial("phi_Omega"),
-            S_Omega=spatial("S_Omega"),
+            phi_Q=np.broadcast_to(tg.phi_Q.on(grid), shape),
+            S_Q=np.broadcast_to(tg.S_Q.on(grid), shape),
+            phi_Omega=tg.phi_Omega.on(grid),
+            S_Omega=tg.S_Omega.on(grid),
             u_min=np.full(self.n_points, self.u_min),
             u_max=np.full(self.n_points, self.u_max),
         )
 
     def build_control(self, system: TumorSystem) -> np.ndarray:
         """Initial/simulation control: a spatial profile held constant in time."""
-        profile = _eval_preset(self.control_spec, system.grid.points, self.L,
-                               "control")
-        return np.tile(profile, (self.n_steps, 1))
+        return np.tile(self.control_spec.on(system.grid), (self.n_steps, 1))
 
     def build_optimizer_options(self) -> OptimizerOptions:
-        return _settings("optimizer", OptimizerOptions, self.optimizer)
+        return self.optimizer
 
 
-def _settings(section: str, cls, given: dict):
-    """cls from the keys the YAML gives, each converted like its field's default
-    (the defaults live in cls alone); a key that names no field, a value of the
-    wrong kind and cls's ValueError ("<field>: ...") are ConfigErrors at section."""
-    defaults = {f.name: f.default for f in fields(cls)}
+# where each ExperimentConfig field sits in the YAML file
+_PATHS = {name: tuple(path.split(".")) for name, path in {
+    "L": "domain.L", "n_points": "domain.n_points",
+    "n_modes": "operators.n_modes", "rho": "operators.rho",
+    "sigma": "operators.sigma", "tau": "operators.tau",
+    "kind_A": "operators.kind_A", "kind_B": "operators.kind_B",
+    "kind_C": "operators.kind_C", "potential": "potential",
+    "proliferation": "proliferation", "phi0_spec": "initial_data.phi0",
+    "S0_spec": "initial_data.S0", "T": "time.T", "n_steps": "time.n_steps",
+    "solver": "solver", "kappas": "cost.kappas", "targets": "cost.targets",
+    "u_min": "cost.bounds.u_min", "u_max": "cost.bounds.u_max",
+    "control_spec": "control", "optimizer": "optimizer",
+    "output_dir": "output_dir", "seed": "seed"}.items()}
+_FIELD_AT = {path: name for name, path in _PATHS.items()}
+_SECTIONS = {path[:i] for path in _PATHS.values() for i in range(len(path))}
+_EXPECTED = {float: "a number", int: "an integer", bool: "true or false",
+             str: "a string", tuple: "a list of numbers"}
+
+
+@cache
+def _settings(cls) -> dict:
+    """The config keys of cls, its fields that are not derived, with their types."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name] for f in fields(cls) if "derived" not in f.metadata}
+
+
+def _build(cls, given: dict, path_of):
+    """cls from the raw values given, each converted by its field's type (the
+    defaults live in cls alone).  A key that names no field, a value of the
+    wrong type and cls's ValueError ("<field>: ...") are ConfigErrors at
+    path_of(field)."""
+    kinds = _settings(cls)
     kwargs = {}
     for key, val in given.items():
-        if key not in defaults:
-            raise ConfigError(f"{section}.{key}: unknown key")
-        kind = type(defaults[key])
-        if kind is bool and not isinstance(val, bool):
-            raise ConfigError(f"{section}.{key}: expected true or false, got {val!r}")
-        if kind is int:
-            val = _integer(given, key, section)
-        elif kind is float:
-            val = _number(given, key, section, None)
-        kwargs[key] = val
+        if key not in kinds:
+            raise ConfigError(f"{path_of(key)}: unknown key")
+        kwargs[key] = _convert(kinds[key], val, path_of(key))
+    for f in fields(cls):
+        if f.name in kinds and f.name not in kwargs and f.default is MISSING:
+            raise ConfigError(f"{path_of(f.name)}: missing required key")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+        head, colon, rest = str(exc).partition(":")
+        name, dot, sub = head.partition(".")
+        raise ConfigError(f"{path_of(name)}{dot}{sub}{colon}{rest}") from exc
 
 
-def _eval_preset(spec: dict, x: np.ndarray, L: float, path: str) -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a mapping with a 'preset' key")
-    preset = spec.get("preset", "zero")
-    if preset not in _FIELD_PRESETS:
-        raise ConfigError(f"{path}.preset: unknown preset {preset!r}")
-    if preset == "zero":
-        vals = np.zeros_like(x)
-    elif preset == "constant":
-        vals = np.full_like(x, _number(spec, "value", path, 0.0))
-    elif preset == "values":
-        try:
-            vals = np.asarray(spec.get("values", []), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.values: expected a list of numbers") from exc
-        if vals.shape != x.shape:
-            raise ConfigError(f"{path}.values: expected {x.size} entries")
-    else:
-        amp = _number(spec, "amplitude", path, 1.0)
-        mode = _integer(spec, "mode", path, 1)
-        arg = mode * math.pi * x / L
-        vals = amp * (np.sin(arg) if preset == "sine" else np.cos(arg))
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{path}: values must be finite")
-    return vals
+def _convert(kind, val, path: str):
+    """val as a value of the field type kind; a boolean only where kind is bool."""
+    if is_dataclass(kind):
+        if isinstance(val, dict):
+            return _build(kind, val, lambda key: f"{path}.{key}")
+    elif kind is tuple:
+        if isinstance(val, (list, tuple)):
+            return tuple(_convert(float, v, path) for v in val)
+    elif isinstance(val, bool) != (kind is bool):
+        pass
+    elif kind in (int, float):
+        with suppress(TypeError, ValueError, OverflowError):
+            num = float(val)  # an int too large for a float overflows
+            if kind is float:
+                return num
+            if num.is_integer() and not isinstance(val, str):
+                return int(val)
+    elif isinstance(val, kind):
+        return val
+    raise ConfigError(f"{path}: expected {_EXPECTED.get(kind, 'a mapping')}, got {val!r}")
 
 
-# ----------------------------------------------------------------------
-# parsing / serialization
-# ----------------------------------------------------------------------
-
-def _require(mapping, key, path, types, default=None):
-    where = f"{path}.{key}".lstrip(".")
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing required key")
-    val = mapping[key]
-    if not isinstance(val, types):
-        raise ConfigError(f"{where}: expected {types}, got {type(val).__name__}")
-    return val
-
-
-def _number(mapping, key, path, default):
-    """mapping[key] converted to float, default when absent."""
-    where = f"{path}.{key}".lstrip(".")
-    val = mapping.get(key, default)
-    try:
-        return float(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: expected a number, got {val!r}") from exc
-
-
-def _integer(mapping, key, path, default=None):
-    """mapping[key] as an int: an integer or an integral float, never a boolean;
-    default when absent, and a required key when default is None."""
-    where = f"{path}.{key}".lstrip(".")
-    if key not in mapping and default is None:
-        raise ConfigError(f"{where}: missing required key")
-    val = mapping.get(key, default)
-    if isinstance(val, float) and val.is_integer():
-        return int(val)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}: expected an integer, got {val!r}")
-    return val
-
-
-def _finite(mapping, key, path, default=None):
-    """mapping[key] as a finite float; a required int or float when default is None."""
-    if default is None:
-        _require(mapping, key, path, (int, float))
-    val = _number(mapping, key, path, default)
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}.{key}: must be finite, got {val!r}")
-    return val
+def _gather(node, path: tuple, out: dict) -> dict:
+    """out[field] = the raw value at each field's key path under node."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{'.'.join(path) or 'top level'}: expected a mapping")
+    for key, val in node.items():
+        where = path + (key,)
+        if where in _FIELD_AT:
+            out[_FIELD_AT[where]] = val
+        elif where in _SECTIONS:
+            _gather(val, where, out)
+        else:
+            raise ConfigError(f"{'.'.join(map(str, where))}: unknown key")
+    return out
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a mapping")
-
-    dom = _require(raw, "domain", "", dict)
-    L = _finite(dom, "L", "domain")
-    n_points = _integer(dom, "n_points", "domain")
-    if not L > 0 or n_points < 1:
-        raise ConfigError("domain: need L > 0 and n_points >= 1")
-
-    ops = _require(raw, "operators", "", dict)
-    rho, sigma, tau = (_finite(ops, k, "operators") for k in ("rho", "sigma", "tau"))
-    if not min(rho, sigma, tau) > 0:
-        raise ConfigError("operators: exponents rho, sigma, tau must be positive")
-    n_modes = _integer(ops, "n_modes", "operators", n_points)
-    if not 1 <= n_modes <= n_points:
-        raise ConfigError("operators.n_modes: must be between 1 and n_points")
-    kinds = {}
-    for name in ("A", "B", "C"):
-        kind = ops.get(f"kind_{name}",
-                       "dirichlet_laplace" if name == "A" else "neumann_laplace")
-        if kind not in _OPERATOR_KINDS:
-            raise ConfigError(f"operators.kind_{name}: unknown kind {kind!r}")
-        kinds[name] = kind
-    if kinds["A"] == "neumann_laplace":
-        raise ConfigError(
-            "operators.kind_A: the first operator needs a strictly positive "
-            "first eigenvalue (lambda_1 > 0); the constant Neumann mode breaks this")
-
-    pot = _require(raw, "potential", "", dict, {"kind": "regular"})
-    pot_kind = _require(pot, "kind", "potential", str, default="regular")
-    if pot_kind not in ("regular", "logarithmic"):
-        raise ConfigError(f"potential.kind: unknown kind {pot_kind!r}")
-    if pot_kind == "logarithmic" and not _finite(pot, "c1", "potential", 2.0) > 1.0:
-        raise ConfigError("potential.c1: the logarithmic potential requires c1 > 1")
-
-    prolif = _require(raw, "proliferation", "", dict, {})
-    if not (_finite(prolif, "p0", "proliferation", 0.5) >= 0
-            and _finite(prolif, "p1", "proliferation", 0.1) >= 0):
-        raise ConfigError(
-            "proliferation: requires a nonnegative bounded rate (p0, p1 >= 0)")
-
-    init = _require(raw, "initial_data", "", dict, {})
-    phi0_spec = _require(init, "phi0", "initial_data", dict, {"preset": "zero"})
-    S0_spec = _require(init, "S0", "initial_data", dict, {"preset": "zero"})
-
-    tsec = _require(raw, "time", "", dict)
-    T = _finite(tsec, "T", "time")
-    n_steps = _integer(tsec, "n_steps", "time")
-    if not T > 0 or n_steps < 1:
-        raise ConfigError("time: need T > 0 and n_steps >= 1")
-
-    cost = _require(raw, "cost", "", dict, {})
-    try:
-        kappas = tuple(float(k) for k in cost.get("kappas", (0, 0, 0, 0, 1.0)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("cost.kappas: expected a list of numbers") from exc
-    if len(kappas) != 5:
-        raise ConfigError("cost.kappas: expected exactly five weights")
-    if not all(0 <= k < math.inf for k in kappas):
-        raise ConfigError("cost.kappas: the weights must be finite and satisfy kappa_i >= 0")
-    targets = _require(cost, "targets", "cost", dict, {})
-    bounds = _require(cost, "bounds", "cost", dict, {})
-    u_min = _number(bounds, "u_min", "cost.bounds", -1.0)
-    u_max = _number(bounds, "u_max", "cost.bounds", 1.0)
-    if not u_min <= u_max:
-        raise ConfigError("cost.bounds: admissibility requires u_min <= u_max")
-
-    cfg = ExperimentConfig(
-        L=L, n_points=n_points, n_modes=n_modes, rho=rho, sigma=sigma, tau=tau,
-        kind_A=kinds["A"], kind_B=kinds["B"], kind_C=kinds["C"],
-        potential=dict(pot), proliferation=dict(prolif),
-        phi0_spec=dict(phi0_spec), S0_spec=dict(S0_spec),
-        T=T, n_steps=n_steps, solver=dict(_require(raw, "solver", "", dict, {})),
-        kappas=kappas, targets={k: dict(_require(targets, k, "cost.targets", dict))
-                                for k in targets},
-        u_min=u_min, u_max=u_max,
-        control_spec=dict(_require(raw, "control", "", dict, {"preset": "zero"})),
-        optimizer=dict(_require(raw, "optimizer", "", dict, {})),
-        output_dir=str(raw.get("output_dir", "runs/out")),
-        seed=_integer(raw, "seed", "", 0),
-    )
-    # the solver and optimizer settings are checked by the objects they build
-    cfg.build_solver_config()
-    cfg.build_optimizer_options()
-    return cfg
+    return _build(ExperimentConfig, _gather(raw, (), {}),
+                  lambda name: ".".join(_PATHS[name]))
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -320,24 +300,22 @@ def parse_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _dump(value):
+    """value as YAML data: a dataclass as the mapping of its set config keys."""
+    if is_dataclass(value):
+        return {name: _dump(getattr(value, name)) for name in _settings(type(value))
+                if getattr(value, name) is not None}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "domain": {"L": cfg.L, "n_points": cfg.n_points},
-        "operators": {"rho": cfg.rho, "sigma": cfg.sigma, "tau": cfg.tau,
-                      "n_modes": cfg.n_modes, "kind_A": cfg.kind_A,
-                      "kind_B": cfg.kind_B, "kind_C": cfg.kind_C},
-        "potential": cfg.potential or {"kind": "regular"},
-        "proliferation": cfg.proliferation,
-        "initial_data": {"phi0": cfg.phi0_spec, "S0": cfg.S0_spec},
-        "time": {"T": cfg.T, "n_steps": cfg.n_steps},
-        "solver": cfg.solver,
-        "cost": {"kappas": list(cfg.kappas), "targets": cfg.targets,
-                 "bounds": {"u_min": cfg.u_min, "u_max": cfg.u_max}},
-        "control": cfg.control_spec,
-        "optimizer": cfg.optimizer,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-    }
+    out = {}
+    for name, (*sections, key) in _PATHS.items():
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = _dump(getattr(cfg, name))
+    return out
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -129,7 +129,8 @@ class OptimizerOptions:
 
     def __post_init__(self):
         # each message starts with the offending field's name
-        for name, ok in (("step0", self.step0 > 0), ("armijo_c", 0 < self.armijo_c < 1),
+        for name, ok in (("step0", 0 < self.step0 < np.inf),
+                         ("armijo_c", 0 < self.armijo_c < 1),
                          ("shrink", 0 < self.shrink < 1)):
             if not ok:
                 raise ValueError(f"{name}: invalid line-search parameter")

@@ -9,7 +9,7 @@ f1(s) = int_0^s (f')^+ monotone nondecreasing and f2 Lipschitz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,32 +20,39 @@ _LOG_GUARD = 1e-12
 SEPARATION_TOL = 1e-10  # |f - level| that a separation threshold root must reach
 
 
+_DOMAINS = {"regular": (-math.inf, math.inf), "logarithmic": (-1.0, 1.0)}
+
+
 @dataclass(frozen=True)
 class Potential:
     """Local free energy F with derivative f on an open interval (a, b)."""
 
-    kind: str
-    domain: tuple
+    kind: str = "regular"
     c1: float = 2.0
+    # (a, b): the kind's own interval unless given; derived, so not a config key
+    domain: tuple = field(default=None, metadata={"derived": True})
 
     def __post_init__(self):
+        # each message starts with the offending field's name
+        if self.kind not in _DOMAINS:
+            raise ValueError(f"kind: unknown potential kind {self.kind!r}")
+        if self.domain is None:
+            object.__setattr__(self, "domain", _DOMAINS[self.kind])
         a, b = self.domain
-        if self.kind not in ("regular", "logarithmic"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
         if not a < 0.0 < b:
-            raise ValueError("the potential domain must contain 0")
-        if self.kind == "logarithmic" and not self.c1 > 1.0:
-            raise ValueError("the logarithmic potential requires c1 > 1")
+            raise ValueError("domain: the potential domain must contain 0")
+        if self.kind == "logarithmic" and not 1.0 < self.c1 < math.inf:
+            raise ValueError("c1: the logarithmic potential requires a finite c1 > 1")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def regular(cls) -> "Potential":
-        return cls(kind="regular", domain=(-math.inf, math.inf))
+        return cls(kind="regular")
 
     @classmethod
-    def logarithmic(cls, c1: float = 2.0) -> "Potential":
-        return cls(kind="logarithmic", domain=(-1.0, 1.0), c1=c1)
+    def logarithmic(cls, c1: float) -> "Potential":
+        return cls(kind="logarithmic", c1=c1)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -124,8 +131,10 @@ class Proliferation:
     p1: float = 0.1
 
     def __post_init__(self):
-        if self.p0 < 0.0 or self.p1 < 0.0:
-            raise ValueError("p0 and p1 must be nonnegative")
+        # each message starts with the offending field's name
+        for name in ("p0", "p1"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and nonnegative")
 
     @classmethod
     def zero(cls) -> "Proliferation":

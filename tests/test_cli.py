@@ -126,6 +126,32 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("solver", {"newton_max_iter": 2.7}, "solver.newton_max_iter"),
     ("optimizer", {"max_iters": False}, "optimizer.max_iters"),
     ("optimizer", {"max_iters": 0.5}, "optimizer.max_iters"),
+    # float fields take no booleans
+    ("domain", {"L": True, "n_points": 8}, "domain.L"),
+    ("operators", {"rho": True, "sigma": 0.6, "tau": 0.5}, "operators.rho"),
+    ("solver", {"damping": True}, "solver.damping"),
+    ("cost", {"bounds": {"u_min": False, "u_max": True}}, "cost.bounds.u_max"),
+    ("cost", {"kappas": [True, 0, 1, 0, 1]}, "cost.kappas"),
+    ("control", {"preset": "constant", "value": True}, "control.value"),
+    # unknown keys at the top level, in a section and in a preset
+    ("solvers", {"damping": 0.5}, "solvers"),
+    ("potential", {"kinds": "logarithmic"}, "potential.kinds"),
+    ("cost", {"bounds": {"umin": 5}}, "cost.bounds.umin"),
+    ("domain", {"L": math.pi, "n_points": 8, "Lx": 3}, "domain.Lx"),
+    ("proliferation", {"p0": 0.5, "p1": 0.1, "p2": 3}, "proliferation.p2"),
+    ("initial_data", {"phi0": {"preset": "constant", "value": 0.25, "amplitde": 3}},
+     "initial_data.phi0.amplitde"),
+    ("control", {"preset": "constant", "amplitude": 3}, "control.amplitude"),
+    ("cost", {"targets": {"phi_q": {"preset": "zero"}}}, "cost.targets.phi_q"),
+    # presets are evaluated when the config is read
+    ("control", {"preset": "values", "values": [0.1] * 7}, "control.values"),
+    # an infinite first step takes no step and reports the initial cost as final
+    ("optimizer", {"step0": math.inf}, "optimizer.step0"),
+    # the builders need each eigenvalue (j pi / L)^2 to be a normal float
+    ("domain", {"L": 5e-324, "n_points": 8}, "domain.L"),
+    ("domain", {"L": 1e300, "n_points": 8}, "domain.L"),
+    # the operators are dense N x N matrices
+    ("domain", {"L": math.pi, "n_points": 2**20}, "domain.n_points"),
 ])
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):

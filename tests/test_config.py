@@ -106,18 +106,16 @@ def test_missing_section_reports_key():
 
 
 def test_unknown_preset_rejected():
-    cfg = config_from_dict(deep({"initial_data.phi0": {"preset": "sawtooth"}}))
-    with pytest.raises(ConfigError, match="preset"):
-        cfg.build_initial_data(cfg.build_system())
+    with pytest.raises(ConfigError, match="^initial_data.phi0.preset: "):
+        config_from_dict(deep({"initial_data.phi0": {"preset": "sawtooth"}}))
 
 
 def test_initial_data_outside_potential_domain_rejected():
-    with pytest.raises(ConfigError):
-        cfg = config_from_dict(deep({
+    with pytest.raises(ConfigError, match="^initial_data.phi0: "):
+        config_from_dict(deep({
             "potential": {"kind": "logarithmic", "c1": 2.0},
             "initial_data.phi0": {"preset": "constant", "value": 1.5},
         }))
-        cfg.build_initial_data(cfg.build_system())
 
 
 def test_yaml_precision_preserved(tmp_path):
@@ -126,7 +124,13 @@ def test_yaml_precision_preserved(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(d))
     cfg = parse_config(path)
-    assert cfg.solver["newton_tol"] == 3.141592653589793e-11
+    assert cfg.solver.newton_tol == 3.141592653589793e-11
+
+
+def _at(node, path):
+    for part in path:
+        node = node[part]
+    return node
 
 
 def _key_paths(node, prefix=()):
@@ -144,13 +148,23 @@ _VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
     max_leaves=6)
 
 
+_BUILDERS = ("build_time_grid", "build_solver_config", "build_optimizer_options")
+_SYSTEM_BUILDERS = ("build_initial_data", "build_problem_spec", "build_control")
+# every mapping of BASE, the top level first, so that an edit can add a key to it
+_SECTIONS = [()] + sorted(p for p in _key_paths(BASE) if isinstance(_at(BASE, p), dict))
+_INSERTED = st.tuples(st.sampled_from(_SECTIONS), st.text(max_size=4)).map(
+    lambda sk: sk[0] + (sk[1],))
+
+
 @settings(deadline=None, max_examples=1000)
-@given(edits=st.lists(st.tuples(st.sampled_from(sorted(_key_paths(BASE))),
+@given(edits=st.lists(st.tuples(st.one_of(st.sampled_from(sorted(_key_paths(BASE))),
+                                          _INSERTED),
                                 st.one_of(_SCALARS, _VALUES, st.just(_DELETE))),
                       min_size=1, max_size=3))
 def test_fuzzed_config_raises_only_config_error(edits):
-    # replaces or deletes entries of a valid config; config_from_dict only
-    # validates, so no fuzzed size allocates anything
+    # replaces, deletes or inserts entries of a valid config; config_from_dict
+    # evaluates the presets on at most 2**14 points, and what it accepts at a
+    # small size every builder builds
     raw = copy.deepcopy(BASE)
     for path, value in edits:
         node = raw
@@ -163,9 +177,100 @@ def test_fuzzed_config_raises_only_config_error(edits):
         else:
             node[path[-1]] = value
     try:
-        config_from_dict(raw)
+        cfg = config_from_dict(raw)
     except ConfigError:
-        pass
+        return
+    if cfg.n_points <= 64 and cfg.n_steps <= 200:
+        system = cfg.build_system()
+        for name in _BUILDERS:
+            getattr(cfg, name)()
+        for name in _SYSTEM_BUILDERS:
+            getattr(cfg, name)(system)
+
+
+@pytest.mark.parametrize("section", _SECTIONS, ids=lambda p: ".".join(p) or "top")
+def test_unknown_key_rejected_in_every_section(section):
+    raw = copy.deepcopy(BASE)
+    _at(raw, section)["bogus"] = 1
+    where = ".".join(section + ("bogus",))
+    with pytest.raises(ConfigError, match="^" + re.escape(where) + ": unknown key"):
+        config_from_dict(raw)
+
+
+_FLOAT_FIELDS = (("domain", "L"), ("operators", "rho"), ("operators", "sigma"),
+                 ("operators", "tau"), ("potential", "c1"), ("proliferation", "p0"),
+                 ("proliferation", "p1"), ("initial_data", "phi0", "amplitude"),
+                 ("initial_data", "S0", "value"), ("time", "T"),
+                 ("solver", "newton_tol"), ("solver", "damping"),
+                 ("cost", "bounds", "u_min"), ("cost", "bounds", "u_max"),
+                 ("control", "value"), ("optimizer", "step0"),
+                 ("optimizer", "armijo_c"), ("optimizer", "shrink"), ("optimizer", "tol"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(path=st.sampled_from(_FLOAT_FIELDS + (("cost", "kappas"),)), value=st.booleans(),
+       index=st.integers(0, 4))
+def test_float_fields_reject_booleans(path, value, index):
+    raw = copy.deepcopy(BASE)
+    if path[-1] == "kappas":  # each weight is a float field
+        value = [value if i == index else 0.0 for i in range(5)]
+    _at(raw, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError, match="^" + re.escape(".".join(path)) + ": "):
+        config_from_dict(raw)
+
+
+_INSIDE = st.floats(-0.9, 0.9)  # inside every potential's domain
+
+
+def _presets(n_points, inside=_INSIDE):
+    """Preset mappings with values in `inside`."""
+    return st.one_of(
+        st.just({"preset": "zero"}),
+        st.builds(lambda v: {"preset": "constant", "value": v}, inside),
+        st.builds(lambda p, a, m: {"preset": p, "amplitude": a, "mode": m},
+                  st.sampled_from(["sine", "cosine"]), inside, st.integers(0, 9)),
+        st.builds(lambda v: {"preset": "values", "values": v},
+                  st.lists(inside, min_size=n_points, max_size=n_points)))
+
+
+@st.composite
+def _valid_configs(draw):
+    n = draw(st.integers(1, 12))
+    weight = st.floats(0.0, 10.0)
+    lo, hi = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)))
+    raw = {
+        "domain": {"L": draw(st.floats(0.5, 10.0)), "n_points": n},
+        "operators": {"rho": draw(st.floats(0.1, 2.0)), "sigma": draw(st.floats(0.1, 2.0)),
+                      "tau": draw(st.floats(0.1, 2.0)), "n_modes": draw(st.integers(1, n))},
+        "potential": draw(st.one_of(
+            st.just({"kind": "regular"}),
+            st.builds(lambda c1: {"kind": "logarithmic", "c1": c1}, st.floats(1.01, 5.0)))),
+        "proliferation": {"p0": draw(weight), "p1": draw(weight)},
+        "initial_data": {"phi0": draw(_presets(n)), "S0": draw(_presets(n, weight))},
+        "time": {"T": draw(st.floats(0.01, 2.0)), "n_steps": draw(st.integers(1, 50))},
+        "solver": {"newton_tol": draw(st.floats(1e-14, 1e-6)),
+                   "damping": draw(st.floats(0.1, 1.0)),
+                   "scheme": draw(st.sampled_from(["semi_implicit_P", "fully_implicit"])),
+                   "split_f2_explicit": draw(st.booleans())},
+        "cost": {"kappas": draw(st.lists(weight, min_size=5, max_size=5)),
+                 "targets": {k: draw(_presets(n)) for k in
+                             draw(st.sets(st.sampled_from(["phi_Q", "S_Q", "phi_Omega",
+                                                           "S_Omega"])))},
+                 "bounds": {"u_min": lo, "u_max": hi}},
+        "control": draw(_presets(n)),
+        "optimizer": {"step0": draw(st.floats(0.01, 10.0)),
+                      "max_iters": draw(st.integers(0, 100))},
+        "output_dir": draw(st.text("abc/_.0", min_size=1, max_size=8)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    return config_from_dict(raw)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cfg=_valid_configs())
+def test_config_round_trip(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(yaml.safe_load(serialize_config(cfg))) == cfg
 
 
 _INTEGER_FIELDS = (("domain", "n_points"), ("operators", "n_modes"),
@@ -183,8 +288,7 @@ def test_integer_fields_reject_booleans_and_fractions(path, value):
         node = node[part]
     node[path[-1]] = value
     with pytest.raises(ConfigError, match="^" + re.escape(".".join(path)) + ": "):
-        cfg = config_from_dict(raw)
-        cfg.build_initial_data(cfg.build_system())  # presets are read when built
+        config_from_dict(raw)
 
 
 def test_integral_floats_are_integers():
