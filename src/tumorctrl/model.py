@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainViolationError, NoSeparationIntervalError
 
@@ -175,30 +174,51 @@ def separation_interval(potential: Potential, M: float, a0: float,
 
 
 def _threshold_root(potential: Potential, M: float, s0: float, upper: bool) -> float:
-    """Bisection for f(z) = +-M toward the relevant domain endpoint."""
+    """Bisection for f(z) = +-M toward the relevant domain endpoint.
+
+    The bracket is halved down to two adjacent floats, and the end beyond the
+    level is returned, so f(b_M) > M and f(a_M) < -M hold exactly.
+    """
     a, b = potential.domain
     target = M if upper else -M
-    g = lambda z: float(potential.f(z)) - target
     sign = 1.0 if upper else -1.0
-    if sign * g(s0) > 0.0:
+    beyond = lambda z: sign * (float(potential.f(z)) - target) > 0.0
+    if beyond(s0):
         return s0
     # bracket by walking toward the endpoint
     end = b if upper else a
     if math.isfinite(end):
-        far = s0 + sign * (1.0 - 1e-10) * abs(end - s0)
-        if sign * g(far) <= 0.0:
-            raise NoSeparationIntervalError("f does not pass the level inside the domain")
+        # probe at the last point toward the endpoint that the potential accepts
+        if potential.kind == "logarithmic":
+            end = sign * min(abs(end), 1.0 - _LOG_GUARD)
+        far = math.nextafter(end, s0)
+        if not beyond(far):
+            raise NoSeparationIntervalError(
+                f"f does not pass the level {target:g} inside the domain (M = {M:g})")
     else:
         step = max(1.0, abs(s0))
         far = s0
         for _ in range(200):
             far = far + sign * step
             step *= 2.0
-            if sign * g(far) > 0.0:
+            if beyond(far):
                 break
         else:
-            raise NoSeparationIntervalError("f never exceeds the requested level")
-    lo, hi = (s0, far) if upper else (far, s0)
-    root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    assert abs(g(root)) <= max(SEPARATION_TOL, 1e-8 * abs(target))
-    return float(root)
+            raise NoSeparationIntervalError(
+                f"f never exceeds the requested level (M = {M:g})")
+    near = s0
+    while True:
+        mid = 0.5 * (near + far)
+        if mid == near or mid == far:
+            break
+        if beyond(mid):
+            far = mid
+        else:
+            near = mid
+    gap = abs(float(potential.f(far)) - target)
+    bound = max(SEPARATION_TOL, 1e-8 * M)
+    if not gap <= bound:
+        raise NoSeparationIntervalError(
+            f"f jumps past the level {target:g} (M = {M:g}) between adjacent "
+            f"floats: |f - level| = {gap:.3e} exceeds {bound:.3e}")
+    return far

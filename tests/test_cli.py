@@ -1,11 +1,16 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from tumorctrl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config(tmp_path, **overrides):
@@ -55,6 +60,22 @@ def test_dt_override_changes_step_count(tmp_path):
                  "--dt-override", "0.005"]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["n_steps"] == 10
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # importing scipy costs most of the package's start-up time and memory;
+    # other test modules import scipy.linalg, hence the fresh interpreter
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tumorctrl; "
+            "from tumorctrl.cli import main; "
+            "tumorctrl.separation_interval(tumorctrl.Potential.logarithmic(2.0), "
+            "10.0, -0.5, 0.5); "
+            "code = main(['simulate', '--config', sys.argv[2], '--quiet']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC),
+                           str(small_config(tmp_path))],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == f"{EXIT_OK} []"
 
 
 def test_out_override(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumorctrl import (DomainViolationError, Potential, Proliferation,
-                       separation_interval)
+from tumorctrl import (DomainViolationError, NoSeparationIntervalError,
+                       Potential, Proliferation, separation_interval)
+from tumorctrl.model import SEPARATION_TOL
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +166,46 @@ def test_separation_interval_already_sufficient():
 def test_separation_requires_positive_level():
     with pytest.raises(ValueError):
         separation_interval(Potential.regular(), 0.0, -0.5, 0.5)
+
+
+def _assert_separation_contract(potential, M, a0, b0):
+    """separation_interval returns a valid interval or raises NoSeparationIntervalError."""
+    try:
+        interval = separation_interval(potential, M, a0, b0)
+    except NoSeparationIntervalError:
+        return
+    a_M, b_M = interval.a_M, interval.b_M
+    assert a_M <= a0 <= b0 <= b_M
+    bound = max(SEPARATION_TOL, 1e-8 * M)
+    if b_M > b0:
+        assert 0.0 <= float(potential.f(b_M)) - M <= bound
+    if a_M < a0:
+        assert 0.0 <= -M - float(potential.f(a_M)) <= bound
+
+
+# the last point the logarithmic potential evaluates
+_LOG_EDGE = math.nextafter(1.0 - 1e-12, 0.0)
+
+
+@pytest.mark.parametrize("M, a0, b0", [
+    (18.0, -0.5, 0.5),  # adjacent floats at the threshold differ in f by more than the bound
+    (20.0, -0.995, 0.995),  # the bracket probe must stay out of the endpoint guard
+])
+def test_separation_near_logarithmic_endpoint(M, a0, b0):
+    _assert_separation_contract(Potential.logarithmic(2.0), M, a0, b0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_separation_interval_contract(data):
+    if data.draw(st.booleans(), label="logarithmic"):
+        potential = Potential.logarithmic(
+            data.draw(st.floats(1.0, 10.0, exclude_min=True), label="c1"))
+        M = data.draw(st.floats(1e-6, 40.0), label="M")
+        s = st.floats(-_LOG_EDGE, _LOG_EDGE)
+    else:
+        potential = Potential.regular()
+        M = data.draw(st.floats(1e-6, 1e6), label="M")
+        s = st.floats(-1e3, 1e3)
+    a0, b0 = sorted((data.draw(s, label="a0"), data.draw(s, label="b0")))
+    _assert_separation_contract(potential, M, a0, b0)
