@@ -40,8 +40,20 @@ class Potential:
         a, b = self.domain
         if not a < 0.0 < b:
             raise ValueError("domain: the potential domain must contain 0")
+        lo, hi = _DOMAINS[self.kind]
+        if a < lo or b > hi:
+            raise ValueError(f"domain: the {self.kind} potential lives on ({lo}, {hi})")
         if self.kind == "logarithmic" and not 1.0 < self.c1 < math.inf:
             raise ValueError("c1: the logarithmic potential requires a finite c1 > 1")
+
+    @property
+    def _bounds(self) -> tuple:
+        """The open interval that evaluation admits: the domain, kept out of
+        the logarithmic endpoint guard."""
+        a, b = self.domain
+        if self.kind == "logarithmic":
+            a, b = max(a, _LOG_GUARD - 1.0), min(b, 1.0 - _LOG_GUARD)
+        return a, b
 
     # -- constructors -------------------------------------------------------
 
@@ -57,12 +69,9 @@ class Potential:
 
     def _check(self, s):
         s = np.asarray(s, dtype=float)
-        a, b = self.domain
-        if self.kind == "logarithmic":
-            if (np.abs(s) >= 1.0 - _LOG_GUARD).any():
-                raise DomainViolationError("argument too close to the endpoints of (-1, 1)")
-        elif ((s <= a) | (s >= b)).any():
-            raise DomainViolationError(f"argument outside the potential domain ({a}, {b})")
+        a, b = self._bounds
+        if ((s <= a) | (s >= b)).any():
+            raise DomainViolationError(f"argument outside the open interval ({a}, {b})")
         return s
 
     def F(self, s):
@@ -165,9 +174,9 @@ def separation_interval(potential: Potential, M: float, a0: float,
     """Smallest [a_M, b_M] containing [a0, b0] with f < -M left of a_M, f > M right of b_M."""
     if not M > 0.0:
         raise ValueError("M must be positive")
-    a, b = potential.domain
+    a, b = potential._bounds
     if not (a < a0 <= b0 < b):
-        raise ValueError("[a0, b0] must be a compact subinterval of (a, b)")
+        raise ValueError(f"[a0, b0] must be a compact subinterval of ({a}, {b})")
     b_M = _threshold_root(potential, M, b0, upper=True)
     a_M = _threshold_root(potential, M, a0, upper=False)
     return SeparationInterval(a_M=a_M, b_M=b_M)
@@ -179,7 +188,7 @@ def _threshold_root(potential: Potential, M: float, s0: float, upper: bool) -> f
     The bracket is halved down to two adjacent floats, and the end beyond the
     level is returned, so f(b_M) > M and f(a_M) < -M hold exactly.
     """
-    a, b = potential.domain
+    a, b = potential._bounds
     target = M if upper else -M
     sign = 1.0 if upper else -1.0
     beyond = lambda z: sign * (float(potential.f(z)) - target) > 0.0
@@ -188,10 +197,7 @@ def _threshold_root(potential: Potential, M: float, s0: float, upper: bool) -> f
     # bracket by walking toward the endpoint
     end = b if upper else a
     if math.isfinite(end):
-        # probe at the last point toward the endpoint that the potential accepts
-        if potential.kind == "logarithmic":
-            end = sign * min(abs(end), 1.0 - _LOG_GUARD)
-        far = math.nextafter(end, s0)
+        far = math.nextafter(end, s0)  # the last point the potential evaluates
         if not beyond(far):
             raise NoSeparationIntervalError(
                 f"f does not pass the level {target:g} inside the domain (M = {M:g})")

@@ -39,6 +39,13 @@ class TumorSystem:
         return self.grid.n_points
 
     @cached_property
+    def op_norm(self) -> float:
+        """The largest scaled eigenvalue of the three operators: a bound on
+        their norms in the grid inner product."""
+        return float(max(np.max(op.scaled_eigenvalues)
+                         for op in (self.op_A, self.op_B, self.op_C)))
+
+    @cached_property
     def MA(self) -> np.ndarray:
         return self.op_A.matrix
 

@@ -76,6 +76,17 @@ def test_logarithmic_domain_guard(log_pot):
     assert np.isfinite(log_pot.f(0.999))
 
 
+def test_logarithmic_potential_checks_a_given_domain():
+    narrow = Potential(kind="logarithmic", c1=2.0, domain=(-0.5, 0.5))
+    with pytest.raises(DomainViolationError):
+        narrow.f(0.7)
+    with pytest.raises(DomainViolationError):
+        narrow.df(np.array([0.0, -0.5]))
+    assert np.isfinite(narrow.f(0.49))
+    with pytest.raises(ValueError, match="^domain"):
+        Potential(kind="logarithmic", c1=2.0, domain=(-0.5, 1.5))
+
+
 @pytest.mark.parametrize("pot_name", ["reg", "log_pot"])
 def test_derivatives_match_finite_differences(pot_name, request):
     pot = request.getfixturevalue(pot_name)
@@ -166,6 +177,17 @@ def test_separation_interval_already_sufficient():
 def test_separation_requires_positive_level():
     with pytest.raises(ValueError):
         separation_interval(Potential.regular(), 0.0, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("domain, a0, b0", [
+    (None, -0.5, 1.0 - 1e-13),  # inside the logarithmic endpoint guard
+    (None, -1.0 + 1e-13, 0.5),
+    ((-0.6, 0.6), -0.5, 0.7),  # outside a given narrower domain
+])
+def test_separation_rejects_interval_outside_evaluable_domain(domain, a0, b0):
+    potential = Potential(kind="logarithmic", c1=2.0, domain=domain)
+    with pytest.raises(ValueError, match="compact subinterval"):
+        separation_interval(potential, 5.0, a0, b0)
 
 
 def _assert_separation_contract(potential, M, a0, b0):

@@ -10,7 +10,7 @@ from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
                        StepFailureError, TimeGrid, discrete_energy,
                        energy_identity_residual, initial_mu, load_trajectory,
                        max_mu_inf, parse_config, pde_residuals, save_trajectory,
-                       solve_forward, state)
+                       solve_forward, state, verify)
 from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
                       logarithmic_run, single_mode_system)
 
@@ -330,3 +330,46 @@ def test_fully_implicit_run_matches_tight_reference():
                  for tol in (1e-10, 1e-13))
     for num, exact in ((traj.mu, ref.mu), (traj.phi, ref.phi), (traj.S, ref.S)):
         assert np.max(np.abs(num - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def _frechet_probe_run(newton_tol):
+    """verify's Frechet probe physics (N = 32, fully implicit, P = (2.0, 0.5),
+    the seed-0 controls), cut to its first 50 steps."""
+    default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    system = replace(default.build_system(), proliferation=Proliferation(p0=2.0, p1=0.5))
+    tg = TimeGrid(0.1, 50)
+    x = system.grid.points
+    u, _ = verify.smooth_probe_controls(tg, x, default.L, np.random.default_rng(1))
+    return solve_forward(system, tg, u, 0.8 * np.sin(x), 2.0 + 0.5 * np.cos(x),
+                         SolverConfig(newton_tol=newton_tol, scheme=FULLY_IMPLICIT))
+
+
+def test_newton_accepts_at_round_off_floor():
+    # newton_tol = 1e-12 lies under this problem's round-off floor, where Newton
+    # used to iterate until the residual stopped falling (3.3 iterations a step)
+    traj = _frechet_probe_run(1e-12)
+    assert np.mean(traj.newton_iterations[1:]) <= 2.1
+    # any target under the floor gives the same steps
+    tighter = _frechet_probe_run(1e-13)
+    assert np.array_equal(tighter.newton_iterations, traj.newton_iterations)
+    assert np.array_equal(tighter.phi, traj.phi)
+
+
+def test_newton_tol_above_floor_is_met():
+    # the default physics at N = 16, where newton_tol lies above the floor
+    default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    cfg = replace(default, n_points=16, n_modes=16, T=0.1, n_steps=100)
+    system = cfg.build_system()
+    phi0, S0 = cfg.build_initial_data(system)
+    u = np.broadcast_to(cfg.build_control(system), (cfg.n_steps, 16))
+    solver = cfg.build_solver_config()
+    traj = solve_forward(system, cfg.build_time_grid(), u, phi0, S0, solver)
+    dt = traj.times[1] - traj.times[0]
+    floors = [state._round_off_floor(system, dt, (traj.mu[k - 1], traj.phi[k - 1],
+                                                  traj.S[k - 1]),
+                                     (traj.mu[k], traj.phi[k], traj.S[k]), u[k - 1])
+              for k in range(1, cfg.n_steps + 1)]
+    assert max(floors) < solver.newton_tol
+    # Newton's residual, recomputed, up to the rounding of the norms
+    newton = np.sqrt(np.sum(pde_residuals(system, traj, u) ** 2, axis=1))
+    assert np.all(newton <= solver.newton_tol * (1.0 + 1e-13))
