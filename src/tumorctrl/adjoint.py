@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSystemError
 from .problem import ControlProblemSpec
+from .spectral import solve_power_plus_mult
 from .state import StateTrajectory, StepOperator, TimeGrid, _adjoint_step_residuals
 from .system import TumorSystem
 
@@ -78,14 +79,11 @@ def solve_adjoint(system: TumorSystem, time_grid: TimeGrid,
     P_fun, pot = system.proliferation, system.potential
     q, p, r = (np.zeros((n + 1, N)) for _ in range(3))
 
-    # terminal node: r(T) = g4, (q+p)(T) = g2, algebraic relation fixes the split
+    # terminal node: r(T) = g4, (q+p)(T) = g2, and the algebraic relation fixes
+    # the split, (I + A^{2rho} + diag P) q = g2 + P g4
     P_T = P_fun(traj.phi[-1])
     r[n] = data.g4
-    try:
-        q[n] = np.linalg.solve(np.eye(N) + system.MA + np.diag(P_T),
-                               data.g2 + P_T * data.g4)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(f"singular adjoint step matrix at node {n}") from exc
+    q[n] = solve_power_plus_mult(system.op_A, 1.0 + P_T, data.g2 + P_T * data.g4)
     p[n] = data.g2 - q[n]
 
     for k in range(n - 1, -1, -1):

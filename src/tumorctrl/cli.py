@@ -40,9 +40,10 @@ def _load_config(args) -> ExperimentConfig:
         if not 0.0 < args.dt_override < np.inf:
             raise ConfigError("--dt-override must be finite and positive")
         overrides["n_steps"] = max(1, int(round(cfg.T / args.dt_override)))
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    try:
+        return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    except ValueError as exc:  # the field's own check, e.g. a negative --seed
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -99,10 +100,8 @@ def cmd_optimize(args) -> int:
 
     out = _out_dir(cfg)
     rows = np.column_stack([
-        np.arange(len(report.gradient_norms)),
-        np.asarray(report.costs[:len(report.gradient_norms)]),
-        np.asarray(report.gradient_norms),
-        np.asarray(report.stationarity),
+        np.arange(len(report.costs)),
+        report.costs, report.gradient_norms, report.stationarity,
     ])
     np.savetxt(out / "iterations.csv", rows, delimiter=",",
                header="k,cost,grad_norm,stationarity", comments="")

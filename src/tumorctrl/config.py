@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise ValueError("n_modes: must be between 1 and n_points")
         if self.n_steps < 1:
             raise ValueError("n_steps: must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed: must be nonnegative")
         for name in ("kind_A", "kind_B", "kind_C"):
             if getattr(self, name) not in _OPERATOR_KINDS:
                 raise ValueError(f"{name}: unknown kind {getattr(self, name)!r}")

@@ -8,7 +8,7 @@ projection formula u = clamp(-r / kappa5, u_min, u_max).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,19 +136,23 @@ class OptimizerOptions:
                 raise ValueError(f"{name}: invalid line-search parameter")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol: must be finite and nonnegative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters: must be nonnegative")
 
 
 @dataclass
 class OptimizationReport:
-    costs: list = field(default_factory=list)
-    gradient_norms: list = field(default_factory=list)
-    stationarity: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
-    backtracks: list = field(default_factory=list)
-    status: str = "running"
-    u_final: np.ndarray | None = None
-    state_final: StateTrajectory | None = None
-    adjoint_final: AdjointTrajectory | None = None
+    """One entry of costs, gradient_norms and stationarity per iterate, the
+    returned u_final last; one step size per accepted step."""
+
+    costs: list
+    gradient_norms: list
+    stationarity: list
+    step_sizes: list
+    status: str
+    u_final: np.ndarray
+    state_final: StateTrajectory
+    adjoint_final: AdjointTrajectory
 
     @property
     def n_iterations(self) -> int:
@@ -162,62 +166,47 @@ def projected_gradient_descent(system: TumorSystem, time_grid: TimeGrid,
                                cfg: SolverConfig | None = None) -> OptimizationReport:
     """Projected gradient with Armijo backtracking on the reduced cost.
 
-    Accepted steps satisfy J(u+) <= J(u) - c * gamma * ||grad||^2; the loop
-    stops on stationarity_residual <= tol, max_iters, or a stalled search.
+    Accepted steps satisfy J(u+) <= J(u) - c * gamma * ||grad||^2.  Each pass
+    records the iterate it has reached, then stops on stationarity_residual
+    <= tol, on max_iters accepted steps, or on a stalled search.
     """
     opts = opts or OptimizerOptions()
     n, N = time_grid.n_steps, system.n_points
     u = project_admissible(np.broadcast_to(np.asarray(u0, dtype=float), (n, N)), spec)
-    report = OptimizationReport()
+    costs, gradient_norms, stationarity, step_sizes = [], [], [], []
 
     traj = solve_forward(system, time_grid, u, phi0, S0, cfg)
     J = cost_eval(system, time_grid, u, traj, spec)
-    adj = solve_adjoint(system, time_grid, traj, spec)
-    report.costs.append(J)
-
-    for _ in range(opts.max_iters):
+    while True:
+        adj = solve_adjoint(system, time_grid, traj, spec)
         grad = reduced_gradient(u, adj, spec)
         gnorm = control_norm(system, time_grid, grad)
-        stat = stationarity_residual(system, time_grid, u, adj, spec)
-        report.gradient_norms.append(gnorm)
-        report.stationarity.append(stat)
-        if stat <= opts.tol:
-            report.status = "converged"
+        costs.append(J)
+        gradient_norms.append(gnorm)
+        stationarity.append(stationarity_residual(system, time_grid, u, adj, spec))
+        if stationarity[-1] <= opts.tol:
+            status = "converged"
+            break
+        if len(step_sizes) == opts.max_iters:
+            status = "max_iters"
             break
 
         gamma = opts.step0
-        accepted = False
-        for bt in range(MAX_BACKTRACKS + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             u_trial = project_admissible(u - gamma * grad, spec)
             traj_trial = solve_forward(system, time_grid, u_trial, phi0, S0, cfg)
             J_trial = cost_eval(system, time_grid, u_trial, traj_trial, spec)
             if J_trial <= J - opts.armijo_c * gamma * gnorm**2:
-                accepted = True
                 break
             gamma *= opts.shrink
-        if not accepted:
-            report.status = "stalled"
+        else:
+            status = "stalled"
             break
-
         u, traj, J = u_trial, traj_trial, J_trial
-        adj = solve_adjoint(system, time_grid, traj, spec)
-        report.costs.append(J)
-        report.step_sizes.append(gamma)
-        report.backtracks.append(bt)
-    else:
-        report.status = "max_iters"
+        step_sizes.append(gamma)
 
-    if report.status == "running":  # max_iters = 0 edge case
-        report.status = "max_iters"
-    if not report.gradient_norms:
-        report.gradient_norms.append(
-            control_norm(system, time_grid, reduced_gradient(u, adj, spec)))
-        report.stationarity.append(
-            stationarity_residual(system, time_grid, u, adj, spec))
-    report.u_final = u
-    report.state_final = traj
-    report.adjoint_final = adj
-    return report
+    return OptimizationReport(costs, gradient_norms, stationarity, step_sizes,
+                              status, u, traj, adj)
 
 
 def sample_variational_inequality(system: TumorSystem, time_grid: TimeGrid,

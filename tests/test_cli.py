@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import yaml
 
 from tumorctrl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def small_config(tmp_path, **overrides):
@@ -173,12 +175,21 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("domain", {"L": 1e300, "n_points": 8}, "domain.L"),
     # the operators are dense N x N matrices
     ("domain", {"L": math.pi, "n_points": 2**20}, "domain.n_points"),
+    # negative counts and seeds
+    ("optimizer", {"max_iters": -1}, "optimizer.max_iters"),
+    ("seed", -1, "seed"),
 ])
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):
     cfg_path = small_config(tmp_path, **{section: value})
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert f"config error: {key_path}" in capsys.readouterr().err
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    assert main(["verify", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_negative_dt_override_rejected(tmp_path):
@@ -209,9 +220,24 @@ def test_optimize_writes_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] in ("converged", "max_iters", "stalled")
     assert report["costs"][-1] <= report["costs"][0]
-    assert (out / "iterations.csv").exists()
     assert (out / "control_final.csv").exists()
     assert (out / "state_final.npz").exists()
+    # one row per iterate, the returned control's last
+    rows = np.loadtxt(out / "iterations.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == report["iterations"] + 1
+    assert rows[-1, 3] == report["final_stationarity"]
+
+
+def test_optimization_demo_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_optimization.py"),
+                           "--config", str(ROOT / "configs" / "default.yaml"),
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "status:" in proc.stdout
+    assert (tmp_path / "control_final.csv").exists()
 
 
 def test_adjoint_check_passes(tmp_path, capsys):

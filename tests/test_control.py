@@ -157,6 +157,30 @@ def test_projected_gradient_descends_on_tracking(setup):
         assert report.costs[k + 1] <= report.costs[k] - 1e-4 * gamma * gn**2 + 1e-14
 
 
+def test_report_ends_on_the_returned_control(setup):
+    # a run cut by max_iters reports the stationarity of the control it returns
+    system, tg, u, phi0, S0, spec, traj = setup
+    report = projected_gradient_descent(system, tg, u, phi0, S0, spec,
+                                        OptimizerOptions(tol=1e-12, max_iters=2))
+    assert report.status == "max_iters"
+    assert report.n_iterations == 2
+    for entries in (report.costs, report.gradient_norms, report.stationarity):
+        assert len(entries) == report.n_iterations + 1
+    assert report.stationarity[-1] == stationarity_residual(
+        system, tg, report.u_final, report.adjoint_final, spec)
+
+
+def test_stationary_start_converges_without_steps(setup):
+    # u = 0 minimizes the control-only cost, where the adjoint vanishes
+    system, tg, u, phi0, S0, spec, traj = setup
+    quad = _zero_spec(tg.n_steps, system.n_points, kappas=(0, 0, 0, 0, 1.0))
+    report = projected_gradient_descent(system, tg, np.zeros_like(u), phi0, S0, quad,
+                                        OptimizerOptions(tol=1e-8, max_iters=0))
+    assert report.status == "converged"
+    assert report.n_iterations == 0
+    assert report.stationarity == [0.0]
+
+
 def test_variational_inequality_at_optimum(setup):
     system, tg, u, phi0, S0, spec, traj = setup
     quad = _zero_spec(tg.n_steps, system.n_points, kappas=(0, 0, 0, 0, 1.0),
