@@ -179,30 +179,33 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     E_mat[nA:nA + nB, nA:nA + nB] = np.eye(nB)
     E_mat[nA + nB:, nA + nB:] = np.eye(nC)
 
+    # one buffer for M(t): the -X_AB block is constant and the (r, p) block
+    # zero; each node refills the rest in place and then adds E / dt
+    M = np.zeros_like(E_mat)
+    M[:nA, nA:nA + nB] = -X_AB
+    E_dt = E_mat / dt
+
     def assemble(phi, S, mu, g1, g3):
         P = system.proliferation(phi)
         D = system.proliferation.d1(phi) * (S - mu)
         df = system.potential.df(phi)
-        M = np.zeros_like(E_mat)
         M[:nA, :nA] = np.diag(LamA) + _weighted_gram(P, EA, w, EA)
-        M[:nA, nA:nA + nB] = -X_AB
         M[:nA, nA + nB:] = -_weighted_gram(P, EA, w, EC)
         M[nA:nA + nB, :nA] = -_weighted_gram(D, EB, w, EA)
         M[nA:nA + nB, nA:nA + nB] = np.diag(LamB) + _weighted_gram(df, EB, w, EB)
         M[nA:nA + nB, nA + nB:] = _weighted_gram(D, EB, w, EC)
         M[nA + nB:, :nA] = -_weighted_gram(P, EC, w, EA)
         M[nA + nB:, nA + nB:] = np.diag(LamC) + _weighted_gram(P, EC, w, EC)
-        b = np.concatenate([np.zeros(nA), EB.T @ (w * g1), EC.T @ (w * g3)])
-        return M, b
+        return np.concatenate([np.zeros(nA), EB.T @ (w * g1), EC.T @ (w * g3)])
 
     y_nodes = np.zeros((n + 1, nA + nB + nC))
     y = np.concatenate([np.zeros(nA), EB.T @ (w * data.g2), g4_modal])
     y_nodes[n] = y
 
     for k in range(n - 1, -1, -1):
-        M, b = assemble(traj.phi[k], traj.S[k], traj.mu[k], data.g1[k], data.g3[k])
+        b = assemble(traj.phi[k], traj.S[k], traj.mu[k], data.g1[k], data.g3[k])
         try:
-            y = np.linalg.solve(E_mat / dt + M, E_mat @ y / dt + b)
+            y = np.linalg.solve(np.add(E_dt, M, out=M), E_mat @ y / dt + b)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(
                 f"viscous backward integrator failed at node {k}") from exc

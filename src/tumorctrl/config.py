@@ -85,7 +85,6 @@ class ExperimentConfig:
 
     L: float
     n_points: int
-    n_modes: int = None  # n_points unless given
     rho: float
     sigma: float
     tau: float
@@ -110,8 +109,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each message starts with the offending field's name
-        if self.n_modes is None:
-            object.__setattr__(self, "n_modes", self.n_points)
         if not 1e-100 <= self.L <= 1e100:  # keeps each (j pi / L)^2 a normal float
             raise ValueError("L: must lie between 1e-100 and 1e100")
         for name in ("rho", "sigma", "tau", "T"):
@@ -119,8 +116,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: must be finite and positive")
         if not 1 <= self.n_points <= _MAX_POINTS:
             raise ValueError(f"n_points: must be between 1 and {_MAX_POINTS}")
-        if not 1 <= self.n_modes <= self.n_points:
-            raise ValueError("n_modes: must be between 1 and n_points")
         if self.n_steps < 1:
             raise ValueError("n_steps: must be at least 1")
         if self.seed < 0:
@@ -166,7 +161,7 @@ class ExperimentConfig:
         for name, kind, expo in (("A", self.kind_A, 2 * self.rho),
                                  ("B", self.kind_B, 2 * self.sigma),
                                  ("C", self.kind_C, 2 * self.tau)):
-            basis = build_basis(kind, self.n_modes, grid)
+            basis = build_basis(kind, self.n_points, grid)
             op[name] = FractionalPower(basis, expo)
         return TumorSystem(grid=grid, op_A=op["A"], op_B=op["B"], op_C=op["C"],
                            potential=self.potential, proliferation=self.proliferation)
@@ -203,8 +198,7 @@ class ExperimentConfig:
 
 # where each ExperimentConfig field sits in the YAML file
 _PATHS = {name: tuple(path.split(".")) for name, path in {
-    "L": "domain.L", "n_points": "domain.n_points",
-    "n_modes": "operators.n_modes", "rho": "operators.rho",
+    "L": "domain.L", "n_points": "domain.n_points", "rho": "operators.rho",
     "sigma": "operators.sigma", "tau": "operators.tau",
     "kind_A": "operators.kind_A", "kind_B": "operators.kind_B",
     "kind_C": "operators.kind_C", "potential": "potential",

@@ -32,6 +32,8 @@ def cost_eval(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     if traj.n_steps != n:
         raise ValueError("trajectory and time grid disagree on the step count")
     u = np.broadcast_to(np.asarray(u, dtype=float), (n, N))
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must be finite")
     w = system.grid.weights
     k1, k2, k3, k4, k5 = spec.kappas
 

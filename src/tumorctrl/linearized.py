@@ -40,6 +40,8 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
     if traj.n_steps != n:
         raise ValueError("trajectory and time grid disagree on the step count")
     h = np.broadcast_to(np.asarray(h, dtype=float), (n, N))
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h must be finite")
     dt = time_grid.dt
     pot, P_fun = system.potential, system.proliferation
     semi, split = traj.scheme == SEMI_IMPLICIT_P, traj.split_f2_explicit
@@ -82,12 +84,12 @@ def y_norm(system: TumorSystem, time_grid: TimeGrid,
 
     dxi = (xi[1:] - xi[:-1]) / dt
     h1_part = np.sqrt(dt * np.sum(w * dxi * dxi))
-    Bxi = xi @ system.MB_half.T
+    Bxi = system.op_B.half.apply(xi)
     graph_B = np.sqrt(np.sum(w * xi * xi, axis=1) + np.sum(w * Bxi * Bxi, axis=1))
     norm_xi = float(h1_part + np.max(graph_B))
 
     sup_part = float(np.max(np.sqrt(np.sum(w * zeta * zeta, axis=1))))
-    Cz = zeta[1:] @ system.MC_half.T
+    Cz = system.op_C.half.apply(zeta[1:])
     l2_graph = np.sqrt(
         dt * np.sum(w * zeta[1:] * zeta[1:]) + dt * np.sum(w * Cz * Cz)
     )

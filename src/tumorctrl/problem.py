@@ -30,5 +30,9 @@ class ControlProblemSpec:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.kappas.shape != (5,) or np.any(self.kappas < 0.0):
             raise ValueError("kappas must be five nonnegative weights")
-        if np.any(self.u_min > self.u_max):
+        for name in ("kappas", "phi_Q", "S_Q", "phi_Omega", "S_Omega"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        # infinite bounds leave the control unconstrained; a NaN fails the test
+        if not np.all(self.u_min <= self.u_max):
             raise ValueError("admissible bounds require u_min <= u_max pointwise")

@@ -127,7 +127,12 @@ def build_basis(kind, n_modes: int, grid: QuadratureGrid, *,
 
 @dataclass(frozen=True)
 class FractionalPower:
-    """Spectral fractional power: coefficients scaled by lambda_j**exponent."""
+    """Spectral fractional power: coefficients scaled by lambda_j**exponent.
+
+    ``apply`` is the one way to apply the operator to grid fields, and ``half``
+    is the half power, built once.  Only the solvers that factor or invert the
+    operator, and the oracles that check it, read ``matrix``.
+    """
 
     basis: SpectralBasis
     exponent: float
@@ -151,8 +156,17 @@ class FractionalPower:
         w = self.basis.grid.weights
         return (E * self.scaled_eigenvalues[None, :]) @ (E.T * w[None, :])
 
+    @cached_property
     def half(self) -> "FractionalPower":
         return FractionalPower(self.basis, self.exponent / 2.0)
+
+    def apply(self, x):
+        """The operator applied to a grid vector or to each row of an array x;
+        the scalar zero that starts a refined solve gives 0 without a product."""
+        ndim = getattr(x, "ndim", 0)
+        if ndim == 1:  # bit-equal to the row form, and cheaper
+            return self.matrix @ x
+        return x @ self.matrix.T if ndim else 0.0
 
 
 def solve_power_plus_mult(fp: FractionalPower, m: np.ndarray,
@@ -172,7 +186,7 @@ def solve_power_plus_mult(fp: FractionalPower, m: np.ndarray,
         raise DegenerateSystemError("power-plus-multiplier system is singular") from exc
     w = fp.basis.grid.weights
     res_norm, x_norm, rhs_norm = (float(np.sqrt(np.sum(w * v * v)))
-                                  for v in (fp.matrix @ x + m * x - rhs, x, rhs))
+                                  for v in (fp.apply(x) + m * x - rhs, x, rhs))
     Kx = (np.max(fp.scaled_eigenvalues) + np.max(m)) * x_norm  # |K| |x|
     # the normwise backward error (Rigal-Gaches); written so that a NaN
     # solution fails too

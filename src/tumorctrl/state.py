@@ -116,11 +116,6 @@ def _step_f(pot, split, phi_new, f2_old):
     return pot.f1(phi_new) + f2_old if split else pot.f(phi_new)
 
 
-def _matmul(a, b):
-    """a @ b; the scalar zero that starts a refined solve gives 0 without a product."""
-    return a @ b if np.ndim(a) and np.ndim(b) else 0.0
-
-
 def _step_residuals(system, dt, prev, new, u_k, react, f_val):
     """Residuals of the three step equations at (mu, phi, S) = new, given the
     reaction term P(phi*) (S - mu) and the step's f; with the linearized data,
@@ -128,9 +123,9 @@ def _step_residuals(system, dt, prev, new, u_k, react, f_val):
     mu_p, phi_p, S_p = prev
     mu, phi, S = new
     dphi = (phi - phi_p) / dt
-    return (dphi + _matmul(system.MA, mu) - react,
-            dphi + _matmul(system.MB, phi) + f_val - mu,
-            (S - S_p) / dt + _matmul(system.MC, S) + react - u_k)
+    return (dphi + system.op_A.apply(mu) - react,
+            dphi + system.op_B.apply(phi) + f_val - mu,
+            (S - S_p) / dt + system.op_C.apply(S) + react - u_k)
 
 
 def _adjoint_step_residuals(system, dt, nxt, cur, g1, g3, P, D, df):
@@ -139,9 +134,9 @@ def _adjoint_step_residuals(system, dt, nxt, cur, g1, g3, P, D, df):
     q_n, p_n, r_n = nxt
     q, p, r = cur
     drive = q - r
-    return (_matmul(q, system.MA.T) - p + P * drive,
-            ((q + p) - (q_n + p_n)) / dt + _matmul(p, system.MB.T) + df * p - D * drive - g1,
-            (r - r_n) / dt + _matmul(r, system.MC.T) - P * drive - g3)
+    return (system.op_A.apply(q) - p + P * drive,
+            ((q + p) - (q_n + p_n)) / dt + system.op_B.apply(p) + df * p - D * drive - g1,
+            (r - r_n) / dt + system.op_C.apply(r) - P * drive - g3)
 
 
 def _round_off_floor(system, dt, prev, new, u_k) -> float:
@@ -198,9 +193,9 @@ class StepOperator:
     def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
                  D: Optional[np.ndarray] = None):
         self.system, self.dt, self.P, self.D = system, dt, P, D
-        self.K_inv = np.linalg.inv(system.MC + np.diag(1.0 / dt + P))
-        self.G = G = system.MA + np.diag(P) - P[:, None] * self.K_inv * P
-        base = G @ system.MB + G / dt + np.eye(P.size) / dt
+        self.K_inv = np.linalg.inv(system.op_C.matrix + np.diag(1.0 / dt + P))
+        self.G = G = system.op_A.matrix + np.diag(P) - P[:, None] * self.K_inv * P
+        base = G @ system.op_B.matrix + G / dt + np.eye(P.size) / dt
         if D is not None:
             base += P[:, None] * self.K_inv * D - np.diag(D)
         self._base = base
@@ -210,7 +205,7 @@ class StepOperator:
         b1, b2, b3 = b.reshape(3, -1)
         P, D, K_inv, G = self.P, self.D, self.K_inv, self.G
         x_phi = np.linalg.solve(self._base + G * df, b1 + P * (K_inv @ b3) + G @ b2)
-        x_mu = x_phi / self.dt + self.system.MB @ x_phi + df * x_phi - b2
+        x_mu = x_phi / self.dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
         s_rhs = b3 + P * x_mu if D is None else b3 + P * x_mu - D * x_phi
         return np.concatenate([x_mu, x_phi, K_inv @ s_rhs])
 
@@ -220,7 +215,7 @@ class StepOperator:
         P, K_inv, G = self.P, self.K_inv, self.G
         K_b3 = K_inv @ b3
         c = b1 + P * K_b3
-        rhs = b2 + c / self.dt + self.system.MB @ c + df * c
+        rhs = b2 + c / self.dt + self.system.op_B.apply(c) + df * c
         if self.D is not None:
             rhs -= self.D * K_b3
         # M* = W^{-1} M^T W: the operators are self-adjoint in the grid weights W
@@ -380,7 +375,7 @@ def pde_residuals(system: TumorSystem, traj: StateTrajectory, u: np.ndarray) -> 
 def discrete_energy(system: TumorSystem, traj: StateTrajectory) -> np.ndarray:
     """(1/2)||B^sigma phi||^2 + int F(phi) + (1/2)||S||^2 at every node."""
     w = system.grid.weights
-    Bphi = traj.phi @ system.MB_half.T
+    Bphi = system.op_B.half.apply(traj.phi)
     return (
         0.5 * np.sum(w * Bphi * Bphi, axis=1)
         + np.sum(w * system.potential.F(traj.phi), axis=1)
@@ -400,8 +395,8 @@ def energy_identity_residual(system: TumorSystem, traj: StateTrajectory,
     dt = float(traj.times[1] - traj.times[0])
     w = system.grid.weights
 
-    Amu = traj.mu[1:] @ system.MA_half.T
-    CS = traj.S[1:] @ system.MC_half.T
+    Amu = system.op_A.half.apply(traj.mu[1:])
+    CS = system.op_C.half.apply(traj.S[1:])
     dphi = (traj.phi[1:] - traj.phi[:-1]) / dt
     Pv = _scheme_P_values(system, traj)
     diff = traj.S[1:] - traj.mu[1:]

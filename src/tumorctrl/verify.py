@@ -58,17 +58,13 @@ def check_operator_algebra(system: TumorSystem, seed: int) -> CheckResult:
     N, w = system.n_points, system.grid.weights
     norm = lambda v: float(np.sqrt(np.sum(w * v**2)))
     worst = 0.0
-    # built once per call, not cached on the system: caching them this early in
-    # a run raised perfbench's verify-n32 peak RSS by about 0.12 MB (glibc
-    # malloc, 2-core Xeon), although the traced peak stayed the same
-    halves = [(op, op.half().matrix) for op in (system.op_A, system.op_B, system.op_C)]
     for _ in range(ALGEBRA_FIELDS):
         raw = rng.standard_normal(N)
-        for op, half in halves:
+        for op in (system.op_A, system.op_B, system.op_C):
             E = op.basis.eigvecs
             v = E @ (E.T @ (w * raw))  # project into the retained span
             scale = max(norm(v), 1e-12)
-            comp = half @ (half @ v)
+            comp = op.half.matrix @ (op.half.matrix @ v)
             worst = max(worst, norm(comp - op.matrix @ v) / scale)
             u2 = E @ (E.T @ (w * rng.standard_normal(N)))
             sym = abs(np.sum(w * (op.matrix @ v) * u2)
@@ -76,15 +72,15 @@ def check_operator_algebra(system: TumorSystem, seed: int) -> CheckResult:
             worst = max(worst, sym / max(scale * norm(u2), 1e-12))
         # coercivity of the half power of the first operator
         v = system.op_A.basis.eigvecs @ (system.op_A.basis.eigvecs.T @ (w * raw))
-        lam1 = system.op_A.basis.eigenvalues[0] ** system.op_A.half().exponent
-        lhs = norm(system.MA_half @ v)
+        lam1 = system.op_A.basis.eigenvalues[0] ** system.op_A.half.exponent
+        lhs = norm(system.op_A.half.matrix @ v)
         gap = lam1 * norm(v) - lhs
         worst = max(worst, gap / max(lhs, 1e-12))
         # inverse consistency of the shifted solve
         m = np.abs(rng.standard_normal(N))
         rhs = rng.standard_normal(N)
         sol = solve_power_plus_mult(system.op_A, m, rhs)
-        res = system.MA @ sol + m * sol - rhs
+        res = system.op_A.matrix @ sol + m * sol - rhs
         worst = max(worst, norm(res) / max(norm(rhs), 1e-12))
     return CheckResult("operator_algebra", worst <= 1e-9, worst, 1e-9,
                        f"max relative defect over {ALGEBRA_FIELDS} random fields")

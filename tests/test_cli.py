@@ -104,9 +104,11 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("proliferation", {"p0": "abc", "p1": 0.1}, "proliferation.p0"),
     ("potential", "regular", "potential"),
     ("control", {"preset": "constant", "value": float("nan")}, "control"),
-    # non-finite numbers: ints that overflow and floats that must be finite
-    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": math.inf},
+    # the mode count is no longer a setting (every basis keeps n_points), so
+    # even the value it always had is an unknown key
+    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": 8},
      "operators.n_modes"),
+    # non-finite numbers: ints that overflow and floats that must be finite
     ("seed", math.inf, "seed"),
     ("solver", {"newton_max_iter": math.inf}, "solver.newton_max_iter"),
     ("optimizer", {"max_iters": math.inf}, "optimizer.max_iters"),
@@ -135,10 +137,8 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     ("domain", {"L": math.pi, "n_points": 8.5}, "domain.n_points"),
     ("time", {"T": 0.05, "n_steps": True}, "time.n_steps"),
     ("time", {"T": 0.05, "n_steps": 20.5}, "time.n_steps"),
-    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": True},
-     "operators.n_modes"),
-    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": 4.5},
-     "operators.n_modes"),
+    ("control", {"preset": "sine", "mode": True}, "control.mode"),
+    ("control", {"preset": "sine", "mode": 1.5}, "control.mode"),
     ("initial_data", {"phi0": {"preset": "sine", "mode": True}},
      "initial_data.phi0.mode"),
     ("initial_data", {"phi0": {"preset": "sine", "mode": 1.5}},

@@ -241,7 +241,7 @@ def _valid_configs(draw):
     raw = {
         "domain": {"L": draw(st.floats(0.5, 10.0)), "n_points": n},
         "operators": {"rho": draw(st.floats(0.1, 2.0)), "sigma": draw(st.floats(0.1, 2.0)),
-                      "tau": draw(st.floats(0.1, 2.0)), "n_modes": draw(st.integers(1, n))},
+                      "tau": draw(st.floats(0.1, 2.0))},
         "potential": draw(st.one_of(
             st.just({"kind": "regular"}),
             st.builds(lambda c1: {"kind": "logarithmic", "c1": c1}, st.floats(1.01, 5.0)))),
@@ -273,8 +273,8 @@ def test_config_round_trip(cfg):
     assert config_from_dict(yaml.safe_load(serialize_config(cfg))) == cfg
 
 
-_INTEGER_FIELDS = (("domain", "n_points"), ("operators", "n_modes"),
-                   ("initial_data", "phi0", "mode"), ("time", "n_steps"), ("seed",),
+_INTEGER_FIELDS = (("domain", "n_points"), ("initial_data", "phi0", "mode"),
+                   ("time", "n_steps"), ("seed",),
                    ("solver", "newton_max_iter"), ("optimizer", "max_iters"))
 
 

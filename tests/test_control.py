@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tumorctrl import (ControlProblemSpec, OptimizerOptions, SolverConfig,
                        fd_gradient_check, project_admissible,
                        projected_gradient_descent, reduced_gradient,
                        sample_variational_inequality, solve_adjoint,
-                       solve_forward, stationarity_residual)
+                       solve_forward, solve_linearized, stationarity_residual)
 from tumorctrl.verify import _zero_spec
 
 from conftest import build_system
@@ -46,6 +48,33 @@ def test_cost_control_term_quadrature(setup):
     # 0.5 * 2 * ||0.2||^2 over (0, T) x (0, pi)
     expected = 0.04 * tg.T * np.pi
     assert abs(J - expected) <= 1e-12
+
+
+def _poisoned(a, value):
+    a = np.array(a, dtype=float)
+    a.flat[a.size // 2] = value
+    return a
+
+
+@pytest.mark.parametrize("case", ["h_nan", "phi_Q_inf", "u_nan", "kappa_nan",
+                                  "u_max_nan", "bounds_inf"])
+def test_non_finite_data_rejected(setup, case):
+    system, tg, u, phi0, S0, spec, traj = setup
+    if case == "bounds_inf":  # infinite bounds are valid: the control is free
+        free = replace(spec, u_min=-np.inf, u_max=np.inf)
+        assert np.array_equal(project_admissible(10.0 * u, free), 10.0 * u)
+        assert np.isfinite(cost_eval(system, tg, u, traj, free))
+        return
+    bad = {
+        "h_nan": lambda: solve_linearized(system, tg, traj, _poisoned(u, np.nan)),
+        "phi_Q_inf": lambda: solve_adjoint(
+            system, tg, traj, replace(spec, phi_Q=_poisoned(spec.phi_Q, np.inf))),
+        "u_nan": lambda: cost_eval(system, tg, _poisoned(u, np.nan), traj, spec),
+        "kappa_nan": lambda: replace(spec, kappas=_poisoned(spec.kappas, np.nan)),
+        "u_max_nan": lambda: replace(spec, u_max=_poisoned(spec.u_max, np.nan)),
+    }[case]
+    with pytest.raises(ValueError):
+        bad()
 
 
 def test_project_admissible_clamps(setup):

@@ -32,7 +32,7 @@ def _wnorm(w, a):
 @lru_cache(maxsize=None)
 def _setup(N):
     default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
-    cfg = replace(default, n_points=N, n_modes=N, T=N_STEPS * 1e-3, n_steps=N_STEPS)
+    cfg = replace(default, n_points=N, T=N_STEPS * 1e-3, n_steps=N_STEPS)
     system = cfg.build_system()
     phi0, S0 = cfg.build_initial_data(system)
     u = np.broadcast_to(cfg.build_control(system), (N_STEPS, N))

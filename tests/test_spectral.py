@@ -51,6 +51,20 @@ def test_apply_power_eigenvector(grid):
     assert abs(4.0**0.75 - 2.8284271) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["dirichlet_laplace", "neumann_laplace"])
+def test_apply_is_the_matrix_product(grid, kind):
+    # bit-equal to the dense products the solvers used before apply existed
+    fp = FractionalPower(build_basis(kind, grid.n_points, grid), 1.2)
+    rng = np.random.default_rng(3)
+    v, rows = rng.standard_normal(grid.n_points), rng.standard_normal((5, grid.n_points))
+    assert np.array_equal(fp.apply(v), fp.matrix @ v)
+    assert np.array_equal(fp.apply(v), v @ fp.matrix.T)
+    assert np.array_equal(fp.apply(rows), rows @ fp.matrix.T)
+    assert fp.apply(0.0) == 0.0
+    assert fp.half is fp.half and fp.half.exponent == 0.6
+    assert np.array_equal(fp.half.apply(v), fp.half.matrix @ v)
+
+
 def test_apply_power_constant_neumann_mode(grid):
     basis = build_basis("neumann_laplace", 4, grid)
     fp = FractionalPower(basis, 0.5)

@@ -308,7 +308,7 @@ def test_previous_state_outside_domain_raises_without_guess(split_f2_explicit):
 def test_extrapolated_start_takes_one_newton_iteration():
     # the default physics, reduced to N = 16 and 500 steps of the default dt
     default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
-    cfg = replace(default, n_points=16, n_modes=16, T=0.5, n_steps=500)
+    cfg = replace(default, n_points=16, T=0.5, n_steps=500)
     system = cfg.build_system()
     phi0, S0 = cfg.build_initial_data(system)
     traj = solve_forward(system, cfg.build_time_grid(), cfg.build_control(system),
@@ -358,7 +358,7 @@ def test_newton_accepts_at_round_off_floor():
 def test_newton_tol_above_floor_is_met():
     # the default physics at N = 16, where newton_tol lies above the floor
     default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
-    cfg = replace(default, n_points=16, n_modes=16, T=0.1, n_steps=100)
+    cfg = replace(default, n_points=16, T=0.1, n_steps=100)
     system = cfg.build_system()
     phi0, S0 = cfg.build_initial_data(system)
     u = np.broadcast_to(cfg.build_control(system), (cfg.n_steps, 16))
