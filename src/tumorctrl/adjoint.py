@@ -7,10 +7,13 @@ The adjoint triple (q, p, r) satisfies an algebraic equation for q,
 plus backward evolution equations for p + q and r with terminal data
 (q+p)(T) = g2, r(T) = g4.  The direct solver's backward Euler step is J*,
 the adjoint of the forward step matrix at node k's P, P'(phi)(S - mu) and f',
-solved by ``state.StepOperator.solve_refined``: the transposed elimination
-plus one sweep of iterative refinement.  A vanishing-viscosity Galerkin solver
-(extra -(1/n) dq/dt term, integrated in modal coordinates) is kept as an
-independent cross-check.
+solved by ``state.StepOperator.solve_refined``: the transposed elimination,
+which solves one N x N system for s = r - q and makes q, p and r explicit,
+plus one sweep of iterative refinement.  One operator serves the whole
+backward solve.  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt
+term, integrated in modal coordinates) is kept as an independent
+cross-check; it eliminates the p-modes through the q-equation and solves a
+2N system in the q- and r-modes at each node.
 """
 
 from __future__ import annotations
@@ -86,15 +89,19 @@ def solve_adjoint(system: TumorSystem, time_grid: TimeGrid,
     q[n] = solve_power_plus_mult(system.op_A, 1.0 + P_T, data.g2 + P_T * data.g4)
     p[n] = data.g2 - q[n]
 
+    op = StepOperator(system, dt)
     for k in range(n - 1, -1, -1):
         P_k = P_fun(traj.phi[k])
         D_k = P_fun.d1(traj.phi[k]) * (traj.S[k] - traj.mu[k])
         df_k = pot.df(traj.phi[k])
         nxt = (q[k + 1], p[k + 1], r[k + 1])
+
+        def residual(x):
+            return _adjoint_step_residuals(system, dt, nxt, x, data.g1[k], data.g3[k],
+                                           P_k, D_k, df_k)
+
         try:
-            op = StepOperator(system, dt, P_k, D_k)
-            q[k], p[k], r[k] = op.solve_refined(df_k, lambda x: _adjoint_step_residuals(
-                system, dt, nxt, x, data.g1[k], data.g3[k], P_k, D_k, df_k), transposed=True)
+            q[k], p[k], r[k] = op.solve_refined(P_k, D_k, df_k, residual, transposed=True)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular adjoint step matrix at node {k}") from exc
 
@@ -132,12 +139,6 @@ def adjoint_residuals(system: TumorSystem, time_grid: TimeGrid,
 # vanishing-viscosity Galerkin cross-check
 # ---------------------------------------------------------------------------
 
-def _weighted_gram(coeff: np.ndarray, Ea: np.ndarray, w: np.ndarray,
-                   Eb: np.ndarray) -> np.ndarray:
-    """Matrix of (coeff * eb_j, ea_i) in the grid quadrature."""
-    return Ea.T @ ((w * coeff)[:, None] * Eb)
-
-
 def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
                                    traj: StateTrajectory, spec: ControlProblemSpec,
                                    n_viscosity: int) -> AdjointTrajectory:
@@ -147,23 +148,31 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     modal unknowns y = (q^, p^, r^) a linear ODE.  Terminal data: q^(T) = 0,
     p^ and r^ start from the projections of g2 and g4.  Each backward Euler
     step from node k+1 to node k takes its coefficients at node k.
+
+    In a step, p^ enters the q-equation only as -X_AB p^, X_AB = (e^B_j, e^A_i),
+    and X_AB is orthogonal when the A and B bases are complete.  So the
+    q-equation gives p^ = X_BA (T q^ - G_P^{AC} r^ - c_q), with T its q^ block
+    and c_q its data, and each node solves the p- and r-equations as one 2N
+    system in (q^, r^).  Completeness also makes a product of two Gram
+    matrices G_f^{XB} G_g^{BY} = G_{fg}^{XY}, G_f^{XY} = (f e^Y_j, e^X_i), so
+    the p-equation's rows need two products with the B basis, not three.
     """
     if n_viscosity < 1:
         raise ValueError("n_viscosity must be >= 1")
     n, N = time_grid.n_steps, system.n_points
     if traj.n_steps != n:
         raise ValueError("trajectory and time grid disagree on the step count")
+    EA, EB, EC = (system.op_A.basis.eigvecs, system.op_B.basis.eigvecs,
+                  system.op_C.basis.eigvecs)
+    nA, nB = EA.shape[1], EB.shape[1]
+    if nA != N or nB != N:
+        raise ValueError(f"the viscous cross-check needs complete A and B bases, "
+                         f"not {nA} and {nB} modes on {N} points")
     dt = time_grid.dt
     w = system.grid.weights
     data = build_adjoint_data(traj, spec)
-    EA, EB, EC = (system.op_A.basis.eigvecs, system.op_B.basis.eigvecs,
-                  system.op_C.basis.eigvecs)
-    nA, nB, nC = EA.shape[1], EB.shape[1], EC.shape[1]
-    LamA = system.op_A.scaled_eigenvalues
-    LamB = system.op_B.scaled_eigenvalues
-    LamC = system.op_C.scaled_eigenvalues
-    X_AB = EA.T @ (w[:, None] * EB)
-    X_BA = X_AB.T
+    LamB, LamC = system.op_B.scaled_eigenvalues, system.op_C.scaled_eigenvalues
+    X_BA = EB.T @ (w[:, None] * EA)
 
     g4_modal = EC.T @ (w * data.g4)
     proj_defect = data.g4 - EC @ g4_modal
@@ -173,49 +182,59 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
             f"terminal nutrient target is poorly represented in the retained "
             f"modes (projection residual {defect:.3e})", stacklevel=2)
 
-    E_mat = np.zeros((nA + nB + nC, nA + nB + nC))
-    E_mat[:nA, :nA] = np.eye(nA) / n_viscosity
-    E_mat[nA:nA + nB, :nA] = X_BA
-    E_mat[nA:nA + nB, nA:nA + nB] = np.eye(nB)
-    E_mat[nA + nB:, nA + nB:] = np.eye(nC)
+    # T = diag(cA) + G_P^{AA}.  With H = diag(hB) + G_f'^{BB}, the p-equation's
+    # p^ block, the p-equation plus H X_BA times the q-equation has no p^, and
+    # with V = P/dt + f' P - D the node's matrix in (q^, r^) is
+    #   [ X_qq + G_V^{BA} + G_f'^{BA} diag(cA) + diag(LamB) G_P^{BA},
+    #                                    -G_V^{BC} - diag(LamB) G_P^{BC} ]
+    #   [ -G_P^{CA},                     diag(1/dt + LamC) + G_P^{CC}    ]
+    cA = 1.0 / (n_viscosity * dt) + system.op_A.scaled_eigenvalues
+    hB = 1.0 / dt + LamB
+    X_qq = X_BA * (1.0 / dt + hB[:, None] * cA)  # X_BA / dt + diag(hB) X_BA diag(cA)
+    E_AC = np.hstack([EA, EC])
+    E_BC = np.hstack([EB, EC])
+    M = np.empty((N + EC.shape[1],) * 2)
+    C_diag = (np.arange(nA, M.shape[0]),) * 2
 
-    # one buffer for M(t): the -X_AB block is constant and the (r, p) block
-    # zero; each node refills the rest in place and then adds E / dt
-    M = np.zeros_like(E_mat)
-    M[:nA, nA:nA + nB] = -X_AB
-    E_dt = E_mat / dt
-
-    def assemble(phi, S, mu, g1, g3):
-        P = system.proliferation(phi)
-        D = system.proliferation.d1(phi) * (S - mu)
-        df = system.potential.df(phi)
-        M[:nA, :nA] = np.diag(LamA) + _weighted_gram(P, EA, w, EA)
-        M[:nA, nA + nB:] = -_weighted_gram(P, EA, w, EC)
-        M[nA:nA + nB, :nA] = -_weighted_gram(D, EB, w, EA)
-        M[nA:nA + nB, nA:nA + nB] = np.diag(LamB) + _weighted_gram(df, EB, w, EB)
-        M[nA:nA + nB, nA + nB:] = _weighted_gram(D, EB, w, EC)
-        M[nA + nB:, :nA] = -_weighted_gram(P, EC, w, EA)
-        M[nA + nB:, nA + nB:] = np.diag(LamC) + _weighted_gram(P, EC, w, EC)
-        return np.concatenate([np.zeros(nA), EB.T @ (w * g1), EC.T @ (w * g3)])
-
-    y_nodes = np.zeros((n + 1, nA + nB + nC))
-    y = np.concatenate([np.zeros(nA), EB.T @ (w * data.g2), g4_modal])
-    y_nodes[n] = y
+    q_hat, p_hat, r_hat = (np.zeros((n + 1, E.shape[1])) for E in (EA, EB, EC))
+    p_hat[n] = EB.T @ (w * data.g2)
+    r_hat[n] = g4_modal
 
     for k in range(n - 1, -1, -1):
-        b = assemble(traj.phi[k], traj.S[k], traj.mu[k], data.g1[k], data.g3[k])
+        phi = traj.phi[k]
+        P = system.proliferation(phi)
+        D = system.proliferation.d1(phi) * (traj.S[k] - traj.mu[k])
+        df = system.potential.df(phi)
+        G_P = E_BC.T @ ((w * P)[:, None] * E_AC)  # G_P^{B.} over G_P^{C.}, columns A, C
+        G_PB = G_P[:nB]
+        coeff = (w * (P / dt + df * P - D))[:, None] * E_AC
+        coeff[:, :nA] += (w * df)[:, None] * EA * cA
+        M[:nA] = EB.T @ coeff  # G_V^{BA} + G_f'^{BA} diag(cA), G_V^{BC}
+        M[:nA] += LamB[:, None] * G_PB
+        M[:nA, :nA] += X_qq
+        M[:nA, nA:] *= -1.0
+        M[nA:] = G_P[nB:]
+        M[nA:, :nA] *= -1.0
+        M[C_diag] += 1.0 / dt + LamC
+
+        # the p-equation's data plus H X_BA c_q, and the r-equation's data
+        c_q = q_hat[k + 1] / (n_viscosity * dt)
+        X_cq = X_BA @ c_q
+        rhs = np.concatenate([
+            (X_BA @ q_hat[k + 1] + p_hat[k + 1]) / dt + EB.T @ (w * data.g1[k])
+            + hB * X_cq + EB.T @ (w * df * (EA @ c_q)),
+            r_hat[k + 1] / dt + EC.T @ (w * data.g3[k])])
         try:
-            y = np.linalg.solve(np.add(E_dt, M, out=M), E_mat @ y / dt + b)
+            z = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(
                 f"viscous backward integrator failed at node {k}") from exc
-        y_nodes[k] = y
+        q_hat[k], r_hat[k] = z[:nA], z[nA:]
+        # p^ = X_BA (T q^ - G_P^{AC} r^ - c_q)
+        p_hat[k] = (X_BA @ (cA * q_hat[k]) - X_cq
+                    + G_PB[:, :nA] @ q_hat[k] - G_PB[:, nA:] @ r_hat[k])
 
-    return AdjointTrajectory(
-        q=y_nodes[:, :nA] @ EA.T,
-        p=y_nodes[:, nA:nA + nB] @ EB.T,
-        r=y_nodes[:, nA + nB:] @ EC.T,
-    )
+    return AdjointTrajectory(q=q_hat @ EA.T, p=p_hat @ EB.T, r=r_hat @ EC.T)
 
 
 def viscosity_sweep(system: TumorSystem, time_grid: TimeGrid,

@@ -47,6 +47,7 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
     semi, split = traj.scheme == SEMI_IMPLICIT_P, traj.split_f2_explicit
 
     eta, xi, zeta = (np.zeros((n + 1, N)) for _ in range(3))
+    op = StepOperator(system, dt)
     for k in range(1, n + 1):
         phi_new, phi_old, xi_old = traj.phi[k], traj.phi[k - 1], xi[k - 1]
         prev, h_k = (0.0, xi_old, zeta[k - 1]), h[k - 1]
@@ -55,17 +56,16 @@ def solve_linearized(system: TumorSystem, time_grid: TimeGrid,
         # the split scheme's f2 is explicit; the semi-implicit P(phi_old) is carried
         f_old = pot.df2(phi_old) * xi_old if split else 0.0
         P = P_fun(phi_old) if semi else P_fun(phi_new)
-        D = None if semi else P_fun.d1(phi_new) * drive
+        D = 0.0 if semi else P_fun.d1(phi_new) * drive
         carried = P_fun.d1(phi_old) * xi_old * drive if semi else 0.0
 
         def residual(x):  # the forward step residual, linearized, at x = (eta, xi, zeta)
             x_mu, x_phi, x_S = x
-            react = P * (x_S - x_mu) + (carried if D is None else D * x_phi)
+            react = P * (x_S - x_mu) + (carried if semi else D * x_phi)
             return _step_residuals(system, dt, prev, x, h_k, react, df_new * x_phi + f_old)
 
         try:
-            op = StepOperator(system, dt, P, D)
-            eta[k], xi[k], zeta[k] = op.solve_refined(df_new, residual)
+            eta[k], xi[k], zeta[k] = op.solve_refined(P, D, df_new, residual)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular linearized step matrix at step {k}") from exc
 

@@ -7,15 +7,14 @@ Each step solves, for the stacked unknowns (mu, phi, S) at the new node,
     (S+ - S)/dt     + C^{2tau} S+ + P(phi*) (S+ - mu+) = u_k
 
 with phi* = old phi (semi_implicit_P, default) or phi* = phi+ (fully
-implicit).  From the second step on, Newton starts at the extrapolated guess
-2 x_{k-1} - x_{k-2}, or at x_{k-1} when the guess's phi leaves the potential
-domain.  Newton updates are damped so phi iterates never leave the potential
-domain (fraction-to-the-boundary rule).  Each step builds one
-``StepOperator``, which eliminates mu and S and factors an N x N matrix for
-phi alone, at its first iteration.  The semi-implicit Jacobian does not change
-within a step; in the fully implicit scheme the later iterations solve the
-current Jacobian by one sweep of iterative refinement against that operator
-(inexact Newton with a tight forcing term).
+implicit).  Newton starts at the extrapolated guess 2 x_1 - x_0 at the second
+step and at 3 x_{k-1} - 3 x_{k-2} + x_{k-3} from the third on, or at x_{k-1}
+when the guess's phi leaves the potential domain.  Newton updates are damped
+so phi iterates never leave the potential domain (fraction-to-the-boundary
+rule).  A solve builds one ``StepOperator``, which holds the dt-constant
+inverse (I/dt + C^{2tau})^{-1} and three products with it; every Newton
+iteration assembles its exact Jacobian's N x N phi block from them in O(N^2),
+factors it and recovers mu and S, so no step inverts a matrix.
 
 Newton accepts a step when its residual reaches newton_tol or, where that lies
 higher, the step's round-off floor (Kelley's accept-at-floor rule)
@@ -170,76 +169,91 @@ class StepOperator:
         J = [ -I      L           0 ],   L = I/dt + B^{2sigma} + diag f',
             [ -P      D           K ]    K = I/dt + C^{2tau} + diag P,
 
-    for the couplings P and, in the fully implicit scheme, D = P'(phi)(S - mu).
-    It is the Newton Jacobian of the forward step and the linearized step
-    operator; its adjoint J* in the grid inner product is the adjoint step
-    operator in (q, p, r).  ``solve`` eliminates S through K and mu through
-    the second row, ``solve_transposed`` r through K and p through the first,
+    for the couplings P and D, D = P'(phi)(S - mu) in the fully implicit scheme
+    and 0 in the semi-implicit one.  It is the Newton Jacobian of the forward
+    step and the linearized step operator; its adjoint J* in the grid inner
+    product is the adjoint step operator in (q, p, r).  The sum of the first
+    and third rows has no P and no D, A mu + phi/dt + (I/dt + C^{2tau}) S =
+    b1 + b3, so S comes from R = (I/dt + C^{2tau})^{-1} and mu = L phi - b2
+    from the second row, and the first row leaves one N x N system for phi,
 
-        M x_phi = b1 + P K^{-1} b3 + G b2,   M = G L + I/dt - D + P K^{-1} D,
-        M* q = b2 + L (b1 + P K^{-1} b3) - D K^{-1} b3,   G = A^{2rho} + P - P K^{-1} P,
+        M x_phi = b1 + (A + P) b2 + P R (b1 + b3 + A b2),
+        M = (A + P) L + I/dt - D + P R (A L + I/dt).
 
-    with M* the adjoint of M.  K^{-1}, G and G (I/dt + B) are formed here, once
-    per coupling; each solve adds the column scaling G diag f' and factors the
-    N x N matrix.  Neither elimination alone is backward stable, so the linear
-    steps go through ``solve_refined``, which refines once against their
-    stacked step residual.  A Newton step builds one operator, at its first
-    iterate.  The fully implicit scheme's later iterates solve their own
-    Jacobian through ``solve_refined`` with it, whose P and D then lag the
-    Jacobian being solved; after the refinement sweep the solve's error is
-    of second order in that lag.
+    ``solve_transposed`` writes J* x = b in s = r - q, for which p and q are
+    explicit: M* s = (I/dt + L A) R b3 - b2 - L b1, with M* the adjoint of M.
+
+    R, R A and the products Q1 = A (B + I/dt) and Q0 = B + R A (B + I/dt) + R/dt
+    depend on dt alone, so one operator serves a whole solve, and ``matrix``
+    assembles M from them and a step's P, D and f' in O(N^2).  Neither
+    elimination alone is backward stable, so the linear steps go through
+    ``solve_refined``, which refines once against their stacked step residual.
     """
 
-    def __init__(self, system: TumorSystem, dt: float, P: np.ndarray,
-                 D: Optional[np.ndarray] = None):
-        self.system, self.dt, self.P, self.D = system, dt, P, D
-        self.K_inv = np.linalg.inv(system.op_C.matrix + np.diag(1.0 / dt + P))
-        self.G = G = system.op_A.matrix + np.diag(P) - P[:, None] * self.K_inv * P
-        base = G @ system.op_B.matrix + G / dt + np.eye(P.size) / dt
-        if D is not None:
-            base += P[:, None] * self.K_inv * D - np.diag(D)
-        self._base = base
+    def __init__(self, system: TumorSystem, dt: float):
+        self.system, self.dt = system, dt
+        A, B = system.op_A.matrix, system.op_B.matrix
+        I_dt = np.eye(system.n_points) / dt
+        self.R = np.linalg.inv(system.op_C.matrix + I_dt)
+        self.RA = self.R @ A
+        self.Q1 = A @ (B + I_dt)
+        self.Q0 = self.RA @ (B + I_dt) + self.R / dt
+        self.Q0 += B
 
-    def solve(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def matrix(self, P, D, df) -> np.ndarray:
+        """The phi block M = Q1 + diag(P) Q0 + (A + diag(P) R A) diag f'
+        + diag((1 + P)/dt + P f' - D), assembled without a matrix product."""
+        M = P[:, None] * self.Q0
+        M += self.Q1
+        T = P[:, None] * self.RA
+        T += self.system.op_A.matrix
+        T *= df
+        M += T
+        M.flat[::P.size + 1] += (1.0 + P) / self.dt + P * df - D
+        return M
+
+    def solve(self, P, D, df, b: np.ndarray) -> np.ndarray:
         """x with J x = b for the stacked vectors x, b = (mu, phi, S)."""
         b1, b2, b3 = b.reshape(3, -1)
-        P, D, K_inv, G = self.P, self.D, self.K_inv, self.G
-        x_phi = np.linalg.solve(self._base + G * df, b1 + P * (K_inv @ b3) + G @ b2)
-        x_mu = x_phi / self.dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
-        s_rhs = b3 + P * x_mu if D is None else b3 + P * x_mu - D * x_phi
-        return np.concatenate([x_mu, x_phi, K_inv @ s_rhs])
+        op_A, R, dt = self.system.op_A, self.R, self.dt
+        A_b2 = op_A.apply(b2)
+        rhs = b1 + A_b2 + P * (b2 + R @ (b1 + b3 + A_b2))
+        x_phi = np.linalg.solve(self.matrix(P, D, df), rhs)
+        x_mu = x_phi / dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
+        x_S = R @ (b1 + b3 - op_A.apply(x_mu) - x_phi / dt)
+        return np.concatenate([x_mu, x_phi, x_S])
 
-    def solve_transposed(self, df: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def solve_transposed(self, P, D, df, b: np.ndarray) -> np.ndarray:
         """x with J* x = b for the stacked vectors x, b = (q, p, r)."""
         b1, b2, b3 = b.reshape(3, -1)
-        P, K_inv, G = self.P, self.K_inv, self.G
-        K_b3 = K_inv @ b3
-        c = b1 + P * K_b3
-        rhs = b2 + c / self.dt + self.system.op_B.apply(c) + df * c
-        if self.D is not None:
-            rhs -= self.D * K_b3
+        op_A, R, dt = self.system.op_A, self.R, self.dt
+        R_b3 = R @ b3
+        c = op_A.apply(R_b3) - b1
+        rhs = R_b3 / dt + c / dt + self.system.op_B.apply(c) + df * c - b2
         # M* = W^{-1} M^T W: the operators are self-adjoint in the grid weights W
         w = self.system.grid.weights
-        q = np.linalg.solve((self._base + G * df).T, w * rhs) / w
-        return np.concatenate([q, G @ q - c, K_inv @ (b3 + P * q)])
+        s = np.linalg.solve(self.matrix(P, D, df).T, w * rhs) / w
+        r = R @ (b3 - P * s)
+        q = r - s
+        return np.concatenate([q, op_A.apply(q) - P * s - b1, r])
 
-    def solve_refined(self, df: np.ndarray, residual, transposed: bool = False) -> np.ndarray:
+    def solve_refined(self, P, D, df, residual, transposed: bool = False) -> np.ndarray:
         """Rows (mu, phi, S), or (q, p, r) when transposed, that zero an affine
         step residual of J (of J*): two corrections from zero, the elimination
         and then one sweep of iterative refinement, which makes it backward stable.
         The first residual is taken at the scalar zero (0, 0, 0), where the
         residuals' matrix products vanish without being formed."""
         solve = self.solve_transposed if transposed else self.solve
-        x = -solve(df, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
-        return x - solve(df, np.concatenate(residual(x))).reshape(3, -1)
+        x = -solve(P, D, df, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
+        return x - solve(P, D, df, np.concatenate(residual(x))).reshape(3, -1)
 
 
-def step(system: TumorSystem, cfg: SolverConfig, dt: float,
-         prev: tuple, u_k: np.ndarray, step_index: int = 0,
-         guess: Optional[tuple] = None) -> tuple:
-    """One implicit Euler step from prev, with Newton started at guess when its
-    phi lies strictly inside the potential's domain; returns (mu, phi, S,
-    newton_iterations)."""
+def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
+         step_index: int = 0, guess: Optional[tuple] = None) -> tuple:
+    """One implicit Euler step of op's system and dt from prev, with Newton
+    started at guess when its phi lies strictly inside the potential's domain;
+    returns (mu, phi, S, newton_iterations)."""
+    system, dt = op.system, op.dt
     prev = tuple(np.asarray(v, dtype=float) for v in prev)
     phi_p = prev[1]
     w = system.grid.weights
@@ -274,20 +288,9 @@ def step(system: TumorSystem, cfg: SolverConfig, dt: float,
             raise StepFailureError(step_index, res_norm, it)
 
         df_val = pot.df1(phi) if split else pot.df(phi)
-        D = None if semi else P_fun.d1(phi) * (S - mu)
+        D = 0.0 if semi else P_fun.d1(phi) * (S - mu)
         try:
-            if it == 0:
-                op = StepOperator(system, dt, Pv, D)
-            if semi or it == 0:  # the operator is this iterate's Jacobian
-                d_mu, d_phi, d_S = op.solve(df_val, -np.concatenate(r)).reshape(3, -1)
-            else:
-                def residual(x):  # J x + r, J the Jacobian at this iterate
-                    x_mu, x_phi, x_S = x
-                    Jx = _step_residuals(system, dt, (0.0, 0.0, 0.0), x, 0.0,
-                                         Pv * (x_S - x_mu) + D * x_phi, df_val * x_phi)
-                    return [a + b for a, b in zip(Jx, r)]
-
-                d_mu, d_phi, d_S = op.solve_refined(df_val, residual)
+            d_mu, d_phi, d_S = op.solve(Pv, D, df_val, -np.concatenate(r)).reshape(3, -1)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
         alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
@@ -331,16 +334,22 @@ def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     mu[0] = initial_mu(system, phi0, S0)
     phi[0], S[0] = phi0, S0
 
+    op = StepOperator(system, time_grid.dt)
     guess = None
     for k in range(1, n + 1):
-        if k >= 2:  # the second-order predictor, written into the output rows
+        if k >= 2:  # the predictor, written into the output rows
             guess = (mu[k], phi[k], S[k])
             for x in (mu, phi, S):
-                np.multiply(x[k - 1], 2.0, out=x[k])
-                x[k] -= x[k - 2]
+                if k >= 3:  # third order: 3 (x_{k-1} - x_{k-2}) + x_{k-3}
+                    np.subtract(x[k - 1], x[k - 2], out=x[k])
+                    x[k] *= 3.0
+                    x[k] += x[k - 3]
+                else:  # second order: 2 x_{k-1} - x_{k-2}
+                    np.multiply(x[k - 1], 2.0, out=x[k])
+                    x[k] -= x[k - 2]
         mu[k], phi[k], S[k], iters[k] = step(
-            system, cfg, time_grid.dt, (mu[k - 1], phi[k - 1], S[k - 1]),
-            u[k - 1], step_index=k, guess=guess,
+            op, cfg, (mu[k - 1], phi[k - 1], S[k - 1]), u[k - 1],
+            step_index=k, guess=guess,
         )
     return StateTrajectory(
         times=time_grid.times, mu=mu, phi=phi, S=S, newton_iterations=iters,

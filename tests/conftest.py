@@ -62,12 +62,12 @@ def logarithmic_run(scheme, split_f2_explicit, n_steps=50, n_points=16):
     return system, tg, u, traj
 
 
-def dense_step_matrix(system, dt, P, df, D=None):
+def dense_step_matrix(system, dt, P, df, D=0.0):
     """The stacked 3N x 3N implicit Euler step matrix in (mu, phi, S), assembled
     block by block: the oracle for ``state.StepOperator``."""
     N = system.n_points
     I_dt = np.eye(N) / dt
-    D = np.zeros(N) if D is None else D
+    D = np.broadcast_to(D, (N,))
     return np.block([
         [system.MA + np.diag(P), I_dt - np.diag(D), -np.diag(P)],
         [-np.eye(N), I_dt + system.MB + np.diag(df), np.zeros((N, N))],

@@ -98,7 +98,7 @@ def assert_linearized_steps_backward_stable(system, tg, traj):
         phi_star = traj.phi[k - 1] if semi else traj.phi[k]
         dP_drive = P_fun.d1(phi_star) * (traj.S[k] - traj.mu[k])
         df = pot.df1(traj.phi[k]) if split_f2_explicit else pot.df(traj.phi[k])
-        J = dense_step_matrix(system, dt, P_fun(phi_star), df, None if semi else dP_drive)
+        J = dense_step_matrix(system, dt, P_fun(phi_star), df, 0.0 if semi else dP_drive)
         xi, zeta = lin.xi[k - 1], lin.zeta[k - 1]
         carried = dP_drive * xi if semi else 0.0
         explicit = pot.df2(traj.phi[k - 1]) * xi if split_f2_explicit else 0.0

@@ -10,7 +10,7 @@ from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
                        StepFailureError, TimeGrid, discrete_energy,
                        energy_identity_residual, initial_mu, load_trajectory,
                        max_mu_inf, parse_config, pde_residuals, save_trajectory,
-                       solve_forward, state, verify)
+                       solve_adjoint, solve_forward, solve_linearized, state, verify)
 from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
                       logarithmic_run, single_mode_system)
 
@@ -216,20 +216,38 @@ def test_newton_solve_matches_dense_oracle(scheme, split_f2_explicit):
     mu, phi, S = traj.mu[25], traj.phi[25], traj.S[25]
     # the system of Newton's first iteration, started from the previous state
     P = P_fun(phi)
-    D = None if scheme == SEMI_IMPLICIT_P else P_fun.d1(phi) * (S - mu)
+    D = 0.0 if scheme == SEMI_IMPLICIT_P else P_fun.d1(phi) * (S - mu)
     df = pot.df1(phi) if split_f2_explicit else pot.df(phi)
     b = -np.concatenate([system.MA @ mu - P * (S - mu),
                          system.MB @ phi + pot.f(phi) - mu,
                          system.MC @ S + P * (S - mu) - u[25]])
     J = dense_step_matrix(system, tg.dt, P, df, D)
-    op = state.StepOperator(system, tg.dt, P, D)
-    delta = op.solve(df, b)
+    op = state.StepOperator(system, tg.dt)
+    delta = op.solve(P, D, df, b)
     exact = np.linalg.solve(J, b)
     assert np.max(np.abs(delta - exact)) <= 1e-11 * np.max(np.abs(exact))
     # the elimination alone is not backward stable; corrected once by the
     # stacked residual, as Newton's next iteration corrects it, it is
-    corrected = delta + op.solve(df, b - J @ delta)
+    corrected = delta + op.solve(P, D, df, b - J @ delta)
     assert backward_error(J, corrected, b) <= 10 * U
+
+
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_one_inverse_per_solve(monkeypatch, scheme):
+    # each solve inverts I/dt + C^{2tau} once, for its StepOperator; no step
+    # inverts anything
+    system, tg, u, traj = logarithmic_run(scheme, False, n_steps=10)
+    spec = verify._zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    solves = (lambda: solve_forward(system, tg, u, traj.phi[0], traj.S[0],
+                                    SolverConfig(scheme=scheme)),
+              lambda: solve_linearized(system, tg, traj, u),
+              lambda: solve_adjoint(system, tg, traj, spec))
+    for solve in solves:
+        calls.clear()
+        solve()
+        assert calls == [(system.n_points, system.n_points)]
 
 
 def test_split_pde_residuals_recompute_newton_stop(monkeypatch):
@@ -265,19 +283,18 @@ def test_split_pde_residuals_recompute_newton_stop(monkeypatch):
     assert np.all(combined <= newton * (1.0 + 1e-13))
 
 
-@pytest.mark.parametrize("factorization", ["inv", "solve"])
-def test_singular_step_matrix_names_the_step(monkeypatch, factorization):
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_singular_step_matrix_names_the_step(monkeypatch, scheme):
     system = build_system()
     x = system.grid.points
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-
     phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
     prev = (initial_mu(system, phi, S), phi, S)
-    monkeypatch.setattr(np.linalg, factorization, singular)
+    op = state.StepOperator(system, 0.01)
+    # the step's own factorization meets an exactly singular matrix
+    monkeypatch.setattr(state.StepOperator, "matrix",
+                        lambda self, P, D, df: np.zeros((16, 16)))
     with pytest.raises(DegenerateSystemError, match="singular step matrix at step 7$"):
-        state.step(system, SolverConfig(), 0.01, prev, 0.2 * np.ones(16), step_index=7)
+        state.step(op, SolverConfig(scheme=scheme), prev, 0.2 * np.ones(16), step_index=7)
 
 
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
@@ -287,8 +304,9 @@ def test_guess_outside_domain_falls_back_to_previous_state(scheme):
     prev = (traj.mu[24], traj.phi[24], traj.S[24])
     guess = (traj.mu[24], 2.0 * traj.phi[24] / np.max(np.abs(traj.phi[24])), traj.S[24])
     assert np.max(np.abs(guess[1])) >= 1.0
-    from_guess = state.step(system, cfg, tg.dt, prev, u[24], step_index=25, guess=guess)
-    from_prev = state.step(system, cfg, tg.dt, prev, u[24], step_index=25)
+    op = state.StepOperator(system, tg.dt)
+    from_guess = state.step(op, cfg, prev, u[24], step_index=25, guess=guess)
+    from_prev = state.step(op, cfg, prev, u[24], step_index=25)
     for a, b in zip(from_guess, from_prev):
         assert np.array_equal(a, b)
     assert np.max(np.abs(from_guess[1] - traj.phi[25])) <= 1e-9
@@ -301,8 +319,8 @@ def test_previous_state_outside_domain_raises_without_guess(split_f2_explicit):
     phi, S = 1.2 * np.sin(x), 0.4 * np.ones(16)
     cfg = SolverConfig(split_f2_explicit=split_f2_explicit)
     with pytest.raises(DomainViolationError):
-        state.step(system, cfg, 0.01, (np.zeros(16), phi, S), 0.2 * np.ones(16),
-                   step_index=7)
+        state.step(state.StepOperator(system, 0.01), cfg, (np.zeros(16), phi, S),
+                   0.2 * np.ones(16), step_index=7)
 
 
 def test_extrapolated_start_takes_one_newton_iteration():
@@ -317,8 +335,8 @@ def test_extrapolated_start_takes_one_newton_iteration():
 
 
 def test_fully_implicit_run_matches_tight_reference():
-    # inexact Newton stops just under newton_tol; the state it accepts stays
-    # within that level of one solved to the round-off floor
+    # Newton stops just under newton_tol; the state it accepts stays within
+    # that level of one solved to the round-off floor
     system = build_system(n_points=64, potential=Potential.logarithmic(c1=2.0),
                           proliferation=Proliferation(p0=2.0, p1=0.5))
     x = system.grid.points
