@@ -12,8 +12,12 @@ which solves one N x N system for s = r - q and makes q, p and r explicit,
 plus one sweep of iterative refinement.  One operator serves the whole
 backward solve.  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt
 term, integrated in modal coordinates) is kept as an independent
-cross-check; it eliminates the p-modes through the q-equation and solves a
-2N system in the q- and r-modes at each node.
+cross-check, with its own modal unknowns and Gram matrices; it needs complete
+A and B bases.  At each node it eliminates the p-modes through the
+q-equation and writes the rest in s^ = X_AC r^ - q^, the A-modes of r - q, in
+which the r-equation is diagonal in r^.  So a node solves one N x N system
+for s^ and makes r^, q^ and p^ explicit, plus one sweep of iterative
+refinement against the residual of its (q^, r^) system.
 """
 
 from __future__ import annotations
@@ -149,13 +153,22 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     p^ and r^ start from the projections of g2 and g4.  Each backward Euler
     step from node k+1 to node k takes its coefficients at node k.
 
-    In a step, p^ enters the q-equation only as -X_AB p^, X_AB = (e^B_j, e^A_i),
-    and X_AB is orthogonal when the A and B bases are complete.  So the
-    q-equation gives p^ = X_BA (T q^ - G_P^{AC} r^ - c_q), with T its q^ block
-    and c_q its data, and each node solves the p- and r-equations as one 2N
-    system in (q^, r^).  Completeness also makes a product of two Gram
-    matrices G_f^{XB} G_g^{BY} = G_{fg}^{XY}, G_f^{XY} = (f e^Y_j, e^X_i), so
-    the p-equation's rows need two products with the B basis, not three.
+    Write G_f^{XY} = (f e^Y_j, e^X_i) and X_XY = G_1^{XY}.  The A and B bases
+    must be complete: then X_AB is orthogonal, and a product of two Gram
+    matrices through A or B is one Gram matrix, G_f^{XA} G_g^{AY} = G_{fg}^{XY}.
+    In a step, p^ enters the q-equation only as -X_AB p^, so the q-equation
+    gives p^ = X_BA (T q^ - G_P^{AC} r^ - c_q), with T = diag(cA) + G_P^{AA}
+    its q^ block and c_q its data, and the p-equation plus H X_BA times the
+    q-equation (H its p^ block) has no p^.  In the A-modes s^ = X_AC r^ - q^
+    of r - q, G_P^{CA} X_AC = G_P^{CC} makes the r-equation diagonal in r^,
+
+        D_C r^ + G_P^{CA} s^ = b_r,   D_C = diag(1/dt + LamC),
+
+    so r^ = D_C^{-1} (b_r - G_P^{CA} s^), and the p-equation leaves one N x N
+    system for s^; q^ = X_AC r^ - s^.  The elimination alone is not backward
+    stable, so each node refines once (Skeel, Math. Comp. 35, 1980) against
+    the residual of its (q^, r^) system, formed without the matrix: two N x N
+    solves per node.
     """
     if n_viscosity < 1:
         raise ValueError("n_viscosity must be >= 1")
@@ -173,6 +186,7 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
     data = build_adjoint_data(traj, spec)
     LamB, LamC = system.op_B.scaled_eigenvalues, system.op_C.scaled_eigenvalues
     X_BA = EB.T @ (w[:, None] * EA)
+    X_AC = EA.T @ (w[:, None] * EC)
 
     g4_modal = EC.T @ (w * data.g4)
     proj_defect = data.g4 - EC @ g4_modal
@@ -182,19 +196,46 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
             f"terminal nutrient target is poorly represented in the retained "
             f"modes (projection residual {defect:.3e})", stacklevel=2)
 
-    # T = diag(cA) + G_P^{AA}.  With H = diag(hB) + G_f'^{BB}, the p-equation's
-    # p^ block, the p-equation plus H X_BA times the q-equation has no p^, and
-    # with V = P/dt + f' P - D the node's matrix in (q^, r^) is
-    #   [ X_qq + G_V^{BA} + G_f'^{BA} diag(cA) + diag(LamB) G_P^{BA},
-    #                                    -G_V^{BC} - diag(LamB) G_P^{BC} ]
-    #   [ -G_P^{CA},                     diag(1/dt + LamC) + G_P^{CC}    ]
-    cA = 1.0 / (n_viscosity * dt) + system.op_A.scaled_eigenvalues
+    # With V = P/dt + f' P - D, and H = diag(hB) + G_f'^{BB} the p-equation's p^
+    # block, the p-equation plus H X_BA times the q-equation and the r-equation are
+    #   [ Q, -G_V^{BC} - diag(LamB) G_P^{BC} ] [q^]   [b_p]
+    #   [ -G_P^{CA},   D_C + G_P^{CC}        ] [r^] = [b_r],
+    #   Q = X_qq + G_V^{BA} + G_f'^{BA} diag(cA) + diag(LamB) G_P^{BA}.
+    # In s^ the first row is -Q s^ + Y r^, Y = (X_qq + G_f'^{BA} diag(cA)) X_AC, so
+    #   M_s s^ = Y D_C^{-1} b_r - b_p,   M_s = Q + Y D_C^{-1} G_P^{CA}
+    #   = X_qq + E_B^T (diag(wV) E_A + diag(wf') (E_A diag(cA) + K diag(wP) E_A))
+    #     + Y0 diag(wP) E_A,
+    # with Y0 = Y_q E_C^T + diag(LamB) E_B^T and K = K_a E_C^T fixed for the solve,
+    # Y_q = X_qq X_AC D_C^{-1} and K_a = E_A diag(cA) X_AC D_C^{-1}.
+    nu = 1.0 / (n_viscosity * dt)
+    cA = nu + system.op_A.scaled_eigenvalues
     hB = 1.0 / dt + LamB
+    DC = 1.0 / dt + LamC
     X_qq = X_BA * (1.0 / dt + hB[:, None] * cA)  # X_BA / dt + diag(hB) X_BA diag(cA)
-    E_AC = np.hstack([EA, EC])
-    E_BC = np.hstack([EB, EC])
-    M = np.empty((N + EC.shape[1],) * 2)
-    C_diag = (np.arange(nA, M.shape[0]),) * 2
+    X_p = 1.0 / dt + nu * hB  # b_p's weight on X_BA q^(k+1)
+    EA_cA = EA * cA
+    Y_q, K_a = X_qq @ (X_AC / DC), EA_cA @ (X_AC / DC)
+    K = K_a @ EC.T
+    Y0 = Y_q @ EC.T
+    Y0 += LamB[:, None] * EB.T
+    # M_s - X_qq is one product: [E_B^T  Y0] times the stack of
+    # diag(wV) E_A + diag(wf') (E_A diag(cA) + K diag(wP) E_A) over diag(wP) E_A
+    EB_Y0 = np.hstack([EB.T, Y0])
+    stack, M_s = np.empty((2 * N, N)), np.empty((N, N))
+
+    def eliminate(M_s, wP, wf, b_p, b_r):
+        """(q^, r^) that solve a node's system M_s for the data (b_p, b_r)."""
+        # Y D_C^{-1} b_r = Y_q b_r + E_B^T diag(wf') K_a b_r
+        s = np.linalg.solve(M_s, Y_q @ b_r + EB.T @ (wf * (K_a @ b_r)) - b_p)
+        r = (b_r - EC.T @ (wP * (EA @ s))) / DC
+        return X_AC @ r - s, r
+
+    def residual(wP, wV, wf, b_p, b_r, q, r):
+        """A node's data (b_p, b_r) minus its system applied to (q^, r^)."""
+        d = EA @ q - EC @ r  # q - r on the grid
+        Pd = wP * d
+        return (b_p - X_qq @ q - EB.T @ (wV * d + wf * (EA_cA @ q)) - LamB * (EB.T @ Pd),
+                b_r - DC * r + EC.T @ Pd)
 
     q_hat, p_hat, r_hat = (np.zeros((n + 1, E.shape[1])) for E in (EA, EB, EC))
     p_hat[n] = EB.T @ (w * data.g2)
@@ -205,34 +246,27 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
         P = system.proliferation(phi)
         D = system.proliferation.d1(phi) * (traj.S[k] - traj.mu[k])
         df = system.potential.df(phi)
-        G_P = E_BC.T @ ((w * P)[:, None] * E_AC)  # G_P^{B.} over G_P^{C.}, columns A, C
-        G_PB = G_P[:nB]
-        coeff = (w * (P / dt + df * P - D))[:, None] * E_AC
-        coeff[:, :nA] += (w * df)[:, None] * EA * cA
-        M[:nA] = EB.T @ coeff  # G_V^{BA} + G_f'^{BA} diag(cA), G_V^{BC}
-        M[:nA] += LamB[:, None] * G_PB
-        M[:nA, :nA] += X_qq
-        M[:nA, nA:] *= -1.0
-        M[nA:] = G_P[nB:]
-        M[nA:, :nA] *= -1.0
-        M[C_diag] += 1.0 / dt + LamC
+        wP, wV, wf = w * P, w * (P / dt + df * P - D), w * df
+        stack[N:] = wP[:, None] * EA
+        stack[:N] = wV[:, None] * EA + wf[:, None] * (EA_cA + K @ stack[N:])
+        np.matmul(EB_Y0, stack, out=M_s)
+        M_s += X_qq
 
-        # the p-equation's data plus H X_BA c_q, and the r-equation's data
-        c_q = q_hat[k + 1] / (n_viscosity * dt)
-        X_cq = X_BA @ c_q
-        rhs = np.concatenate([
-            (X_BA @ q_hat[k + 1] + p_hat[k + 1]) / dt + EB.T @ (w * data.g1[k])
-            + hB * X_cq + EB.T @ (w * df * (EA @ c_q)),
-            r_hat[k + 1] / dt + EC.T @ (w * data.g3[k])])
+        # the q-equation's data is c_q; H X_BA c_q = hB X_BA c_q + G_f'^{BA} c_q
+        c_q = nu * q_hat[k + 1]
+        b_p = (X_p * (X_BA @ q_hat[k + 1]) + p_hat[k + 1] / dt
+               + EB.T @ (w * data.g1[k] + wf * (EA @ c_q)))
+        b_r = r_hat[k + 1] / dt + EC.T @ (w * data.g3[k])
         try:
-            z = np.linalg.solve(M, rhs)
+            q, r = eliminate(M_s, wP, wf, b_p, b_r)
+            dq, dr = eliminate(M_s, wP, wf, *residual(wP, wV, wf, b_p, b_r, q, r))
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(
                 f"viscous backward integrator failed at node {k}") from exc
-        q_hat[k], r_hat[k] = z[:nA], z[nA:]
-        # p^ = X_BA (T q^ - G_P^{AC} r^ - c_q)
-        p_hat[k] = (X_BA @ (cA * q_hat[k]) - X_cq
-                    + G_PB[:, :nA] @ q_hat[k] - G_PB[:, nA:] @ r_hat[k])
+        q_hat[k], r_hat[k] = q + dq, r + dr
+        # p^ = X_BA (T q^ - G_P^{AC} r^ - c_q) = X_BA (cA q^ - c_q) + E_B^T (wP (q - r))
+        p_hat[k] = (X_BA @ (cA * q_hat[k] - c_q)
+                    + EB.T @ (wP * (EA @ q_hat[k] - EC @ r_hat[k])))
 
     return AdjointTrajectory(q=q_hat @ EA.T, p=p_hat @ EB.T, r=r_hat @ EC.T)
 

@@ -212,19 +212,20 @@ class StepOperator:
         M.flat[::P.size + 1] += (1.0 + P) / self.dt + P * df - D
         return M
 
-    def solve(self, P, D, df, b: np.ndarray) -> np.ndarray:
-        """x with J x = b for the stacked vectors x, b = (mu, phi, S)."""
+    def solve(self, P, df, M: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with J x = b for the stacked vectors x, b = (mu, phi, S), where M
+        is the phi block ``matrix(P, D, df)``."""
         b1, b2, b3 = b.reshape(3, -1)
         op_A, R, dt = self.system.op_A, self.R, self.dt
         A_b2 = op_A.apply(b2)
         rhs = b1 + A_b2 + P * (b2 + R @ (b1 + b3 + A_b2))
-        x_phi = np.linalg.solve(self.matrix(P, D, df), rhs)
+        x_phi = np.linalg.solve(M, rhs)
         x_mu = x_phi / dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
         x_S = R @ (b1 + b3 - op_A.apply(x_mu) - x_phi / dt)
         return np.concatenate([x_mu, x_phi, x_S])
 
-    def solve_transposed(self, P, D, df, b: np.ndarray) -> np.ndarray:
-        """x with J* x = b for the stacked vectors x, b = (q, p, r)."""
+    def solve_transposed(self, P, df, M: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with J* x = b for the stacked vectors x, b = (q, p, r); M as in ``solve``."""
         b1, b2, b3 = b.reshape(3, -1)
         op_A, R, dt = self.system.op_A, self.R, self.dt
         R_b3 = R @ b3
@@ -232,7 +233,7 @@ class StepOperator:
         rhs = R_b3 / dt + c / dt + self.system.op_B.apply(c) + df * c - b2
         # M* = W^{-1} M^T W: the operators are self-adjoint in the grid weights W
         w = self.system.grid.weights
-        s = np.linalg.solve(self.matrix(P, D, df).T, w * rhs) / w
+        s = np.linalg.solve(M.T, w * rhs) / w
         r = R @ (b3 - P * s)
         q = r - s
         return np.concatenate([q, op_A.apply(q) - P * s - b1, r])
@@ -241,11 +242,13 @@ class StepOperator:
         """Rows (mu, phi, S), or (q, p, r) when transposed, that zero an affine
         step residual of J (of J*): two corrections from zero, the elimination
         and then one sweep of iterative refinement, which makes it backward stable.
-        The first residual is taken at the scalar zero (0, 0, 0), where the
-        residuals' matrix products vanish without being formed."""
+        Both corrections use one assembly of M.  The first residual is taken at
+        the scalar zero (0, 0, 0), where the residuals' matrix products vanish
+        without being formed."""
         solve = self.solve_transposed if transposed else self.solve
-        x = -solve(P, D, df, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
-        return x - solve(P, D, df, np.concatenate(residual(x))).reshape(3, -1)
+        M = self.matrix(P, D, df)
+        x = -solve(P, df, M, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
+        return x - solve(P, df, M, np.concatenate(residual(x))).reshape(3, -1)
 
 
 def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
@@ -290,7 +293,8 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
         df_val = pot.df1(phi) if split else pot.df(phi)
         D = 0.0 if semi else P_fun.d1(phi) * (S - mu)
         try:
-            d_mu, d_phi, d_S = op.solve(Pv, D, df_val, -np.concatenate(r)).reshape(3, -1)
+            d_mu, d_phi, d_S = op.solve(Pv, df_val, op.matrix(Pv, D, df_val),
+                                        -np.concatenate(r)).reshape(3, -1)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
         alpha = _boundary_step_fraction(system, cfg, phi, d_phi)

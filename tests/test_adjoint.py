@@ -179,6 +179,39 @@ def test_viscous_node_solve_matches_3n_oracle(scheme, n_viscosity):
         assert np.max(np.abs(num - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n_viscosity", [10, 10**4])
+def test_viscous_node_refinement_matches_3n_oracle_at_n128(n_viscosity):
+    # at N = 128 the s^ elimination alone is about 1e-11 off the oracle in p;
+    # its refinement sweep brings it to round-off
+    system, tg, _, traj = logarithmic_run(FULLY_IMPLICIT, False, n_steps=10, n_points=128)
+    spec = _zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    visc = solve_adjoint_viscous_galerkin(system, tg, traj, spec, n_viscosity)
+    oracle = viscous_3n_oracle(system, tg, traj, spec, n_viscosity)
+    for num, ref in zip((visc.q, visc.p, visc.r), oracle):
+        assert np.max(np.abs(num - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_viscous_node_makes_two_n_by_n_solves(monkeypatch, generic_run):
+    system, tg, u, phi0, S0, traj = generic_run
+    spec = _zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    solve, shapes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: shapes.append(a.shape) or solve(a, b))
+    solve_adjoint_viscous_galerkin(system, tg, traj, spec, 100)
+    assert shapes == [(system.n_points, system.n_points)] * (2 * tg.n_steps)
+
+
+def test_singular_viscous_node_names_the_node(monkeypatch, generic_run):
+    system, tg, u, phi0, S0, traj = generic_run
+    spec = _zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    # the node's own factorization meets an exactly singular matrix
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(np.zeros_like(a), b))
+    with pytest.raises(DegenerateSystemError,
+                       match=f"failed at node {tg.n_steps - 1}$"):
+        solve_adjoint_viscous_galerkin(system, tg, traj, spec, 100)
+
+
 def test_viscous_cross_check_rejects_truncated_basis():
     system = build_system(n_modes=12)
     x = system.grid.points

@@ -73,7 +73,7 @@ def test_forward_residuals_under_scale_aware_bound(N, scheme):
     256, 512,
     pytest.param(1024, marks=pytest.mark.xfail(strict=True, reason=(
         "one refinement sweep of the adjoint step leaves its q + p equation "
-        "at about 340 u of the scale"))),
+        "at about 553 u of the scale"))),
 ])
 def test_adjoint_residuals_under_scale_aware_bound(N):
     cfg, system, _, _, _ = _setup(N)

@@ -223,12 +223,13 @@ def test_newton_solve_matches_dense_oracle(scheme, split_f2_explicit):
                          system.MC @ S + P * (S - mu) - u[25]])
     J = dense_step_matrix(system, tg.dt, P, df, D)
     op = state.StepOperator(system, tg.dt)
-    delta = op.solve(P, D, df, b)
+    M = op.matrix(P, D, df)
+    delta = op.solve(P, df, M, b)
     exact = np.linalg.solve(J, b)
     assert np.max(np.abs(delta - exact)) <= 1e-11 * np.max(np.abs(exact))
     # the elimination alone is not backward stable; corrected once by the
     # stacked residual, as Newton's next iteration corrects it, it is
-    corrected = delta + op.solve(P, D, df, b - J @ delta)
+    corrected = delta + op.solve(P, df, M, b - J @ delta)
     assert backward_error(J, corrected, b) <= 10 * U
 
 
@@ -248,6 +249,21 @@ def test_one_inverse_per_solve(monkeypatch, scheme):
         calls.clear()
         solve()
         assert calls == [(system.n_points, system.n_points)]
+
+
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT_P, FULLY_IMPLICIT])
+def test_one_assembly_per_linear_step(monkeypatch, scheme):
+    # the elimination and the refinement sweep of a step share one M
+    system, tg, u, traj = logarithmic_run(scheme, False, n_steps=10)
+    spec = verify._zero_spec(tg.n_steps, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
+    matrix, calls = state.StepOperator.matrix, []
+    monkeypatch.setattr(state.StepOperator, "matrix",
+                        lambda self, P, D, df: calls.append(1) or matrix(self, P, D, df))
+    for solve in (lambda: solve_linearized(system, tg, traj, u),
+                  lambda: solve_adjoint(system, tg, traj, spec)):
+        calls.clear()
+        solve()
+        assert len(calls) == tg.n_steps
 
 
 def test_split_pde_residuals_recompute_newton_stop(monkeypatch):
