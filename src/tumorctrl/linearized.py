@@ -113,11 +113,11 @@ def frechet_remainder_probe(system: TumorSystem, time_grid: TimeGrid,
     base = solve_forward(system, time_grid, u_bar, phi0, S0, cfg)
     lin = solve_linearized(system, time_grid, base, h)
 
-    remainders = np.empty(PROBE_SCALES.size)
-    for i, eps in enumerate(PROBE_SCALES):
+    def remainder(eps):  # a perturbed run lives only while its remainder is formed
         pert = solve_forward(system, time_grid, u_bar + eps * h, phi0, S0, cfg)
-        rem_xi = pert.phi - base.phi - eps * lin.xi
-        rem_zeta = pert.S - base.S - eps * lin.zeta
-        remainders[i] = y_norm(system, time_grid, rem_xi, rem_zeta)
+        return y_norm(system, time_grid, pert.phi - base.phi - eps * lin.xi,
+                      pert.S - base.S - eps * lin.zeta)
+
+    remainders = np.array([remainder(eps) for eps in PROBE_SCALES])
     slope = float(np.polyfit(np.log(PROBE_SCALES), np.log(remainders), 1)[0])
     return PROBE_SCALES.copy(), remainders, slope

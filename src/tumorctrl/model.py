@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +47,10 @@ class Potential:
         if self.kind == "logarithmic" and not 1.0 < self.c1 < math.inf:
             raise ValueError("c1: the logarithmic potential requires a finite c1 > 1")
 
-    @property
+    @cached_property
     def _bounds(self) -> tuple:
         """The open interval that evaluation admits: the domain, kept out of
-        the logarithmic endpoint guard."""
+        the logarithmic endpoint guard; built once."""
         a, b = self.domain
         if self.kind == "logarithmic":
             a, b = max(a, _LOG_GUARD - 1.0), min(b, 1.0 - _LOG_GUARD)

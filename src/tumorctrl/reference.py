@@ -7,8 +7,8 @@ systems.  These are integrated here with classic fixed-step RK4 at a much
 finer step, giving reference trajectories accurate far beyond the implicit
 Euler error being measured.
 
-The state ODE is nonlinear and is stepped by ``rk4`` with a Python
-right-hand side.  The linearized and adjoint ODEs are linear, y' = M(t) y +
+The state ODE is nonlinear and is stepped by ``rk4`` with a right-hand side
+on Python floats.  The linearized and adjoint ODEs are linear, y' = M(t) y +
 g(t), with coefficients taken from the interpolated reference state.  Their
 M and g are sampled as arrays at the 2n + 1 RK4 stage points (the nodes and
 the step midpoints), one block of steps at a time, and the source
@@ -121,10 +121,10 @@ class SingleModeReduction:
         n = int(round(T / dt))
         times = np.linspace(0.0, T, n + 1)
 
-        def rhs(t, y):
-            phi, S = y
-            P = self.proliferation(phi)
-            f = self.potential.f(phi)
+        def rhs(t, y):  # on Python floats, the same operations as on arrays
+            phi, S = y.tolist()
+            P = float(self.proliferation(phi))
+            f = float(self.potential.f(phi))
             mu = self._mu(phi, S, P, f)
             dphi = mu - self.b * phi - f
             dS = -self.c * S - P * (S - mu) + u_fn(t)

@@ -11,10 +11,11 @@ implicit).  Newton starts at the extrapolated guess 2 x_1 - x_0 at the second
 step and at 3 x_{k-1} - 3 x_{k-2} + x_{k-3} from the third on, or at x_{k-1}
 when the guess's phi leaves the potential domain.  Newton updates are damped
 so phi iterates never leave the potential domain (fraction-to-the-boundary
-rule).  A solve builds one ``StepOperator``, which holds the dt-constant
-inverse (I/dt + C^{2tau})^{-1} and three products with it; every Newton
-iteration assembles its exact Jacobian's N x N phi block from them in O(N^2),
-factors it and recovers mu and S, so no step inverts a matrix.
+rule), except on a whole-line domain (the regular potential), where f itself
+rejects a non-finite phi.  A solve builds one ``StepOperator``, which holds the
+dt-constant inverse (I/dt + C^{2tau})^{-1} and three products with it; every
+Newton iteration assembles its exact Jacobian's N x N phi block from them in
+O(N^2), factors it and recovers mu and S as rows: no step stacks or inverts.
 
 Newton accepts a step when its residual reaches newton_tol or, where that lies
 higher, the step's round-off floor (Kelley's accept-at-floor rule)
@@ -187,7 +188,7 @@ class StepOperator:
     depend on dt alone, so one operator serves a whole solve, and ``matrix``
     assembles M from them and a step's P, D and f' in O(N^2).  Neither
     elimination alone is backward stable, so the linear steps go through
-    ``solve_refined``, which refines once against their stacked step residual.
+    ``solve_refined``, which refines once against their three-row step residual.
     """
 
     def __init__(self, system: TumorSystem, dt: float):
@@ -209,24 +210,25 @@ class StepOperator:
         T += self.system.op_A.matrix
         T *= df
         M += T
-        M.flat[::P.size + 1] += (1.0 + P) / self.dt + P * df - D
+        M.reshape(-1)[::P.size + 1] += (1.0 + P) / self.dt + P * df - D
         return M
 
-    def solve(self, P, df, M: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with J x = b for the stacked vectors x, b = (mu, phi, S), where M
-        is the phi block ``matrix(P, D, df)``."""
-        b1, b2, b3 = b.reshape(3, -1)
+    def solve(self, P, df, M: np.ndarray, b) -> tuple:
+        """The rows (mu, phi, S) of x with J x = b for the rows b = (b1, b2, b3),
+        where M is the phi block ``matrix(P, D, df)``."""
+        b1, b2, b3 = b
         op_A, R, dt = self.system.op_A, self.R, self.dt
         A_b2 = op_A.apply(b2)
-        rhs = b1 + A_b2 + P * (b2 + R @ (b1 + b3 + A_b2))
+        b13 = b1 + b3
+        rhs = b1 + A_b2 + P * (b2 + R @ (b13 + A_b2))
         x_phi = np.linalg.solve(M, rhs)
-        x_mu = x_phi / dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
-        x_S = R @ (b1 + b3 - op_A.apply(x_mu) - x_phi / dt)
-        return np.concatenate([x_mu, x_phi, x_S])
+        phi_dt = x_phi / dt
+        x_mu = phi_dt + self.system.op_B.apply(x_phi) + df * x_phi - b2
+        return x_mu, x_phi, R @ (b13 - op_A.apply(x_mu) - phi_dt)
 
-    def solve_transposed(self, P, df, M: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with J* x = b for the stacked vectors x, b = (q, p, r); M as in ``solve``."""
-        b1, b2, b3 = b.reshape(3, -1)
+    def solve_transposed(self, P, df, M: np.ndarray, b) -> tuple:
+        """The rows (q, p, r) of x with J* x = b for the rows b; M as in ``solve``."""
+        b1, b2, b3 = b
         op_A, R, dt = self.system.op_A, self.R, self.dt
         R_b3 = R @ b3
         c = op_A.apply(R_b3) - b1
@@ -236,9 +238,9 @@ class StepOperator:
         s = np.linalg.solve(M.T, w * rhs) / w
         r = R @ (b3 - P * s)
         q = r - s
-        return np.concatenate([q, op_A.apply(q) - P * s - b1, r])
+        return q, op_A.apply(q) - P * s - b1, r
 
-    def solve_refined(self, P, D, df, residual, transposed: bool = False) -> np.ndarray:
+    def solve_refined(self, P, D, df, residual, transposed: bool = False) -> tuple:
         """Rows (mu, phi, S), or (q, p, r) when transposed, that zero an affine
         step residual of J (of J*): two corrections from zero, the elimination
         and then one sweep of iterative refinement, which makes it backward stable.
@@ -247,8 +249,8 @@ class StepOperator:
         without being formed."""
         solve = self.solve_transposed if transposed else self.solve
         M = self.matrix(P, D, df)
-        x = -solve(P, df, M, np.concatenate(residual((0.0, 0.0, 0.0)))).reshape(3, -1)
-        return x - solve(P, df, M, np.concatenate(residual(x))).reshape(3, -1)
+        x = [-v for v in solve(P, df, M, residual((0.0, 0.0, 0.0)))]
+        return tuple(v - d for v, d in zip(x, solve(P, df, M, residual(x))))
 
 
 def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
@@ -263,29 +265,32 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
     pot, P_fun = system.potential, system.proliferation
     split = cfg.split_f2_explicit
     semi = cfg.scheme == SEMI_IMPLICIT_P
-    P_old = P_fun(phi_p)
+    P_old = P_fun(phi_p) if semi else None
     f2_old = pot.split_f(phi_p)[1] if split else None
+    bounded = any(map(math.isfinite, pot.domain))  # the whole line has no boundary
 
     # without a usable guess Newton starts at the previous state, so the first
     # evaluation of f checks that phi_p lies in the potential's domain
-    if guess is not None and _domain_margin(system, guess[1]) > _MIN_MARGIN:
+    if guess is not None and (not bounded or _domain_margin(system, guess[1]) > _MIN_MARGIN):
         mu, phi, S = (np.asarray(v, dtype=float) for v in guess)
     else:
         mu, phi, S = prev
     tol = cfg.newton_tol
     for it in range(cfg.newton_max_iter + 1):
         Pv = P_old if semi else P_fun(phi)
-        r = _step_residuals(system, dt, prev, (mu, phi, S), u_k, Pv * (S - mu),
-                            _step_f(pot, split, phi, f2_old))
-        r1, r2, r3 = r
-        res_norm = float(np.sqrt(np.sum(w * (r1 * r1 + r2 * r2 + r3 * r3))))
+        r1, r2, r3 = _step_residuals(system, dt, prev, (mu, phi, S), u_k, Pv * (S - mu),
+                                     _step_f(pot, split, phi, f2_old))
+        res_norm = math.sqrt((w * (r1 * r1 + r2 * r2 + r3 * r3)).sum())
         # accept at newton_tol, or at the step's round-off floor where that lies
         # higher; the floor is computed once, when the first Newton iterate
         # misses newton_tol, so a step that meets it pays nothing
         if it == 1 and res_norm > tol:
             tol = max(tol, _round_off_floor(system, dt, prev, (mu, phi, S), u_k))
         if res_norm <= tol:
-            _check_separation_margin(system, phi, step_index)
+            margin = _domain_margin(system, phi) if bounded else math.inf
+            if margin < _MIN_MARGIN:
+                raise SeparationFailureError(f"step {step_index}: phi within {margin:.3e} "
+                                             "of the potential domain boundary")
             return mu, phi, S, it
         if it == cfg.newton_max_iter:
             raise StepFailureError(step_index, res_norm, it)
@@ -294,28 +299,20 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
         D = 0.0 if semi else P_fun.d1(phi) * (S - mu)
         try:
             d_mu, d_phi, d_S = op.solve(Pv, df_val, op.matrix(Pv, D, df_val),
-                                        -np.concatenate(r)).reshape(3, -1)
+                                        (-r1, -r2, -r3))
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"singular step matrix at step {step_index}") from exc
-        alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
-        mu, phi, S = mu + alpha * d_mu, phi + alpha * d_phi, S + alpha * d_S
+        if bounded:
+            alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
+            d_mu, d_phi, d_S = alpha * d_mu, alpha * d_phi, alpha * d_S
+        mu, phi, S = mu + d_mu, phi + d_phi, S + d_S
 
 
 def _domain_margin(system, phi) -> float:
     """Distance of phi from the boundary of the potential's domain."""
     a, b = system.potential.domain
-    return min(
-        float(np.min(b - phi)) if np.isfinite(b) else np.inf,
-        float(np.min(phi - a)) if np.isfinite(a) else np.inf,
-    )
-
-
-def _check_separation_margin(system, phi, step_index):
-    margin = _domain_margin(system, phi)
-    if margin < _MIN_MARGIN:
-        raise SeparationFailureError(
-            f"step {step_index}: phi within {margin:.3e} of the potential domain boundary"
-        )
+    return min(float(np.min(b - phi)) if np.isfinite(b) else np.inf,
+               float(np.min(phi - a)) if np.isfinite(a) else np.inf)
 
 
 def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
@@ -343,14 +340,14 @@ def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
     for k in range(1, n + 1):
         if k >= 2:  # the predictor, written into the output rows
             guess = (mu[k], phi[k], S[k])
-            for x in (mu, phi, S):
+            for x, g in zip((mu, phi, S), guess):
                 if k >= 3:  # third order: 3 (x_{k-1} - x_{k-2}) + x_{k-3}
-                    np.subtract(x[k - 1], x[k - 2], out=x[k])
-                    x[k] *= 3.0
-                    x[k] += x[k - 3]
+                    np.subtract(x[k - 1], x[k - 2], out=g)
+                    g *= 3.0
+                    g += x[k - 3]
                 else:  # second order: 2 x_{k-1} - x_{k-2}
-                    np.multiply(x[k - 1], 2.0, out=x[k])
-                    x[k] -= x[k - 2]
+                    np.multiply(x[k - 1], 2.0, out=g)
+                    g -= x[k - 2]
         mu[k], phi[k], S[k], iters[k] = step(
             op, cfg, (mu[k - 1], phi[k - 1], S[k - 1]), u[k - 1],
             step_index=k, guess=guess,

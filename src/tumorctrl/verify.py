@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,13 +93,17 @@ def _single_mode_control(t):
 
 @dataclass(frozen=True)
 class SingleModeSetup:
-    """The single-mode system, its ODE reduction and the RK4 reference state
-    over [0, T], shared by the three single-mode checks of one battery run."""
+    """The single-mode system, its ODE reduction, the RK4 reference state over
+    [0, T] and the default-scheme run, shared by one battery's three checks."""
 
     system: TumorSystem
     reduction: SingleModeReduction
     T: float
     state: tuple
+
+    @cached_property
+    def run(self) -> tuple:  # (time grid, trajectory), made where first needed
+        return _single_mode_run(self.system, self.T)
 
 
 def _single_mode_setup(cfg: ExperimentConfig, system: TumorSystem,
@@ -112,16 +117,14 @@ def _single_mode_setup(cfg: ExperimentConfig, system: TumorSystem,
                            red.solve_state(0.2, 0.4, _single_mode_control, T))
 
 
-def _single_mode_run(setup: SingleModeSetup, dt: float,
-                     scfg: SolverConfig | None = None):
-    """Forward run of the single-mode system; returns (time grid, trajectory)."""
-    tg = TimeGrid(setup.T, int(round(setup.T / dt)))
+def _single_mode_run(system: TumorSystem, T: float, scfg: SolverConfig | None = None):
+    """Forward run of the single-mode system at dt = 1e-3; returns (time grid, trajectory)."""
+    tg = TimeGrid(T, int(round(T / 1e-3)))
     u = np.array([[_single_mode_control(t)] for t in tg.times[1:]])
-    return tg, solve_forward(setup.system, tg, u, np.array([0.2]), np.array([0.4]), scfg)
+    return tg, solve_forward(system, tg, u, np.array([0.2]), np.array([0.4]), scfg)
 
 
-def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs,
-                        dt: float) -> CheckResult:
+def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs) -> CheckResult:
     """Largest relative error of node values against the interpolated references."""
     err = 0.0
     for num, ref in pairs:
@@ -129,30 +132,29 @@ def _single_mode_result(name: str, tg: TimeGrid, ref_t: np.ndarray, pairs,
         err = max(err, float(np.max(np.abs(num - ref_nodes))
                              / max(np.max(np.abs(ref_nodes)), 1e-12)))
     return CheckResult(name, err <= 2e-2, err, 2e-2,
-                       f"max relative error vs RK4 reference at dt={dt}")
+                       f"max relative error vs RK4 reference at dt={tg.dt}")
 
 
-def check_single_mode_state(setup: SingleModeSetup, dt: float = 1e-3) -> CheckResult:
-    tg, traj = _single_mode_run(setup, dt)
+def check_single_mode_state(setup: SingleModeSetup) -> CheckResult:
+    tg, traj = setup.run
     ref_t, ref_mu, ref_phi, ref_S = setup.state
     return _single_mode_result("single_mode_state", tg, ref_t, (
-        (traj.mu[:, 0], ref_mu), (traj.phi[:, 0], ref_phi), (traj.S[:, 0], ref_S)), dt)
+        (traj.mu[:, 0], ref_mu), (traj.phi[:, 0], ref_phi), (traj.S[:, 0], ref_S)))
 
 
-def check_single_mode_linearized(setup: SingleModeSetup,
-                                 dt: float = 1e-3) -> CheckResult:
-    tg, traj = _single_mode_run(setup, dt, SolverConfig(scheme=FULLY_IMPLICIT))
+def check_single_mode_linearized(setup: SingleModeSetup) -> CheckResult:
+    tg, traj = _single_mode_run(setup.system, setup.T, SolverConfig(scheme=FULLY_IMPLICIT))
     h_fn = lambda t: np.sin(t) + 0.5
     h = h_fn(tg.times[1:])[:, None]
     lin = solve_linearized(setup.system, tg, traj, h)
     ref_t, _, ref_xi, ref_zeta = setup.reduction.solve_linearized(setup.state, h_fn,
                                                                    setup.T)
     return _single_mode_result("single_mode_linearized", tg, ref_t, (
-        (lin.xi[:, 0], ref_xi), (lin.zeta[:, 0], ref_zeta)), dt)
+        (lin.xi[:, 0], ref_xi), (lin.zeta[:, 0], ref_zeta)))
 
 
-def check_single_mode_adjoint(setup: SingleModeSetup, dt: float = 1e-3) -> CheckResult:
-    tg, traj = _single_mode_run(setup, dt)
+def check_single_mode_adjoint(setup: SingleModeSetup) -> CheckResult:
+    tg, traj = setup.run
     spec = _zero_spec(tg.n_steps, 1, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
     adj = solve_adjoint(setup.system, tg, traj, spec)
     ref_t, _, ref_phi, ref_S = setup.state
@@ -161,7 +163,7 @@ def check_single_mode_adjoint(setup: SingleModeSetup, dt: float = 1e-3) -> Check
         lambda t: np.interp(t, ref_t, ref_S),
         0.5 * float(ref_phi[-1]), 0.5 * float(ref_S[-1]), setup.T)
     return _single_mode_result("single_mode_adjoint", tg, adj_t, (
-        (adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p), (adj.r[:, 0], ref_r)), dt)
+        (adj.q[:, 0], ref_q), (adj.p[:, 0], ref_p), (adj.r[:, 0], ref_r)))
 
 
 def _generic_run_data(system: TumorSystem, n_steps: int, T: float):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
-                       DomainViolationError, Potential, Proliferation, SolverConfig,
-                       StepFailureError, TimeGrid, discrete_energy,
-                       energy_identity_residual, initial_mu, load_trajectory,
-                       max_mu_inf, parse_config, pde_residuals, save_trajectory,
-                       solve_adjoint, solve_forward, solve_linearized, state, verify)
+                       DomainViolationError, Potential, Proliferation,
+                       SeparationFailureError, SolverConfig, StepFailureError, TimeGrid,
+                       discrete_energy, energy_identity_residual, initial_mu,
+                       load_trajectory, max_mu_inf, parse_config, pde_residuals,
+                       save_trajectory, solve_adjoint, solve_forward, solve_linearized,
+                       state, verify)
 from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
                       logarithmic_run, single_mode_system)
 
@@ -224,12 +225,12 @@ def test_newton_solve_matches_dense_oracle(scheme, split_f2_explicit):
     J = dense_step_matrix(system, tg.dt, P, df, D)
     op = state.StepOperator(system, tg.dt)
     M = op.matrix(P, D, df)
-    delta = op.solve(P, df, M, b)
+    delta = np.concatenate(op.solve(P, df, M, b.reshape(3, -1)))
     exact = np.linalg.solve(J, b)
     assert np.max(np.abs(delta - exact)) <= 1e-11 * np.max(np.abs(exact))
     # the elimination alone is not backward stable; corrected once by the
     # stacked residual, as Newton's next iteration corrects it, it is
-    corrected = delta + op.solve(P, df, M, b - J @ delta)
+    corrected = delta + np.concatenate(op.solve(P, df, M, (b - J @ delta).reshape(3, -1)))
     assert backward_error(J, corrected, b) <= 10 * U
 
 
@@ -337,6 +338,61 @@ def test_previous_state_outside_domain_raises_without_guess(split_f2_explicit):
     with pytest.raises(DomainViolationError):
         state.step(state.StepOperator(system, 0.01), cfg, (np.zeros(16), phi, S),
                    0.2 * np.ones(16), step_index=7)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["previous state", "guess"])
+def test_regular_step_rejects_infinite_phi(where, bad):
+    # the whole-line domain skips the step's margin tests, so the potential's
+    # own check is what rejects a non-finite phi
+    system = build_system()
+    x = system.grid.points
+    phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
+    prev = (initial_mu(system, phi, S), phi, S)
+    bad_phi = phi.copy()
+    bad_phi[5] = bad
+    if where == "guess":
+        args = dict(prev=prev, guess=(prev[0], bad_phi, S))
+    else:
+        args = dict(prev=(prev[0], bad_phi, S))
+    with pytest.raises(DomainViolationError):
+        state.step(state.StepOperator(system, 0.01), SolverConfig(), u_k=0.2 * np.ones(16),
+                   step_index=3, **args)
+
+
+def test_logarithmic_step_damps_toward_the_boundary():
+    # undamped, Newton's first updates leave (-1, 1); the fraction-to-the-
+    # boundary rule keeps every iterate inside and the step converges
+    system = build_system(potential=Potential.logarithmic(c1=2.0),
+                          proliferation=Proliferation(p0=2.0, p1=0.5))
+    x = system.grid.points
+    phi, S = 0.9 * np.sin(x), 0.4 * np.ones(16)
+    prev = (initial_mu(system, phi, S), phi, S)
+    mu1, phi1, S1, its = state.step(state.StepOperator(system, 0.1), SolverConfig(), prev,
+                                    100.0 * np.ones(16), step_index=1)
+    assert its >= 5
+    assert 0.999 < np.max(np.abs(phi1)) < 1.0
+
+
+@pytest.mark.parametrize("kind", ["regular", "logarithmic"])
+def test_step_on_a_bounded_domain_keeps_its_domain_tests(kind):
+    # the domain tests key on the domain, not on the potential's kind: a
+    # potential cut to (-1, 0.5) falls back from a guess outside it ...
+    system = build_system(potential=Potential(kind=kind, c1=2.0, domain=(-1.0, 0.5)))
+    x = system.grid.points
+    phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
+    prev = (initial_mu(system, phi, S), phi, S)
+    op, cfg, u_k = state.StepOperator(system, 0.01), SolverConfig(), 0.2 * np.ones(16)
+    guess = (prev[0], phi + 0.3, S)
+    from_guess = state.step(op, cfg, prev, u_k, step_index=2, guess=guess)
+    from_prev = state.step(op, cfg, prev, u_k, step_index=2)
+    for a, b in zip(from_guess, from_prev):
+        assert np.array_equal(a, b)
+    # ... and rejects an accepted phi within 1e-12 of the boundary
+    near = phi.copy()
+    near[np.argmax(phi)] = 0.5 - 1e-13
+    with pytest.raises(SeparationFailureError, match="^step 4: "):
+        state.step(op, SolverConfig(newton_tol=1e6), (prev[0], near, S), u_k, step_index=4)
 
 
 def test_extrapolated_start_takes_one_newton_iteration():
