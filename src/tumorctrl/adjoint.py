@@ -12,17 +12,16 @@ which solves one N x N system for s = r - q and makes q, p and r explicit,
 plus one sweep of iterative refinement.  One operator serves the whole
 backward solve.  A vanishing-viscosity Galerkin solver (extra -(1/n) dq/dt
 term, integrated in modal coordinates) is kept as an independent
-cross-check, with its own modal unknowns and Gram matrices; it needs complete
-A and B bases.  At each node it eliminates the p-modes through the
-q-equation and writes the rest in s^ = X_AC r^ - q^, the A-modes of r - q, in
-which the r-equation is diagonal in r^.  So a node solves one N x N system
-for s^ and makes r^, q^ and p^ explicit, plus one sweep of iterative
-refinement against the residual of its (q^, r^) system.
+cross-check, with its own modal unknowns and Gram matrices.  At each node it
+eliminates the p-modes through the q-equation and writes the rest in
+s^ = X_AC r^ - q^, the A-modes of r - q, in which the r-equation is diagonal
+in r^.  So a node solves one N x N system for s^ and makes r^, q^ and p^
+explicit, plus one sweep of iterative refinement against the residual of its
+(q^, r^) system.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +149,12 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
 
     The q-equation gains a -(1/n_viscosity) dq/dt term, making the stacked
     modal unknowns y = (q^, p^, r^) a linear ODE.  Terminal data: q^(T) = 0,
-    p^ and r^ start from the projections of g2 and g4.  Each backward Euler
-    step from node k+1 to node k takes its coefficients at node k.
+    p^ and r^ start from the modal coefficients of g2 and g4.  Each backward
+    Euler step from node k+1 to node k takes its coefficients at node k.
 
-    Write G_f^{XY} = (f e^Y_j, e^X_i) and X_XY = G_1^{XY}.  The A and B bases
-    must be complete: then X_AB is orthogonal, and a product of two Gram
-    matrices through A or B is one Gram matrix, G_f^{XA} G_g^{AY} = G_{fg}^{XY}.
+    Write G_f^{XY} = (f e^Y_j, e^X_i) and X_XY = G_1^{XY}.  Every basis is
+    complete, so X_AB is orthogonal, and a product of two Gram matrices
+    through A or B is one Gram matrix, G_f^{XA} G_g^{AY} = G_{fg}^{XY}.
     In a step, p^ enters the q-equation only as -X_AB p^, so the q-equation
     gives p^ = X_BA (T q^ - G_P^{AC} r^ - c_q), with T = diag(cA) + G_P^{AA}
     its q^ block and c_q its data, and the p-equation plus H X_BA times the
@@ -177,24 +176,12 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
         raise ValueError("trajectory and time grid disagree on the step count")
     EA, EB, EC = (system.op_A.basis.eigvecs, system.op_B.basis.eigvecs,
                   system.op_C.basis.eigvecs)
-    nA, nB = EA.shape[1], EB.shape[1]
-    if nA != N or nB != N:
-        raise ValueError(f"the viscous cross-check needs complete A and B bases, "
-                         f"not {nA} and {nB} modes on {N} points")
     dt = time_grid.dt
     w = system.grid.weights
     data = build_adjoint_data(traj, spec)
     LamB, LamC = system.op_B.scaled_eigenvalues, system.op_C.scaled_eigenvalues
     X_BA = EB.T @ (w[:, None] * EA)
     X_AC = EA.T @ (w[:, None] * EC)
-
-    g4_modal = EC.T @ (w * data.g4)
-    proj_defect = data.g4 - EC @ g4_modal
-    defect = np.sqrt(np.sum(w * proj_defect * proj_defect))
-    if defect > 1e-6 * max(1.0, np.sqrt(np.sum(w * data.g4 * data.g4))):
-        warnings.warn(
-            f"terminal nutrient target is poorly represented in the retained "
-            f"modes (projection residual {defect:.3e})", stacklevel=2)
 
     # With V = P/dt + f' P - D, and H = diag(hB) + G_f'^{BB} the p-equation's p^
     # block, the p-equation plus H X_BA times the q-equation and the r-equation are
@@ -237,9 +224,9 @@ def solve_adjoint_viscous_galerkin(system: TumorSystem, time_grid: TimeGrid,
         return (b_p - X_qq @ q - EB.T @ (wV * d + wf * (EA_cA @ q)) - LamB * (EB.T @ Pd),
                 b_r - DC * r + EC.T @ Pd)
 
-    q_hat, p_hat, r_hat = (np.zeros((n + 1, E.shape[1])) for E in (EA, EB, EC))
+    q_hat, p_hat, r_hat = (np.zeros((n + 1, N)) for _ in range(3))
     p_hat[n] = EB.T @ (w * data.g2)
-    r_hat[n] = g4_modal
+    r_hat[n] = EC.T @ (w * data.g4)
 
     for k in range(n - 1, -1, -1):
         phi = traj.phi[k]

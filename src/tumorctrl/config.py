@@ -161,7 +161,7 @@ class ExperimentConfig:
         for name, kind, expo in (("A", self.kind_A, 2 * self.rho),
                                  ("B", self.kind_B, 2 * self.sigma),
                                  ("C", self.kind_C, 2 * self.tau)):
-            basis = build_basis(kind, self.n_points, grid)
+            basis = build_basis(kind, grid)
             op[name] = FractionalPower(basis, expo)
         return TumorSystem(grid=grid, op_A=op["A"], op_B=op["B"], op_C=op["C"],
                            potential=self.potential, proliferation=self.proliferation)

@@ -71,7 +71,8 @@ class Potential:
     def _check(self, s):
         s = np.asarray(s, dtype=float)
         a, b = self._bounds
-        if ((s <= a) | (s >= b)).any():
+        # s <= a or s >= b somewhere; fmin/fmax skip NaN as the comparisons do
+        if np.fmin.reduce(s, None, initial=b) <= a or np.fmax.reduce(s, None, initial=a) >= b:
             raise DomainViolationError(f"argument outside the open interval ({a}, {b})")
         return s
 

@@ -1,7 +1,7 @@
 """Independent single-mode references for cross-checking the PDE solvers.
 
-With one retained mode per operator (realized on a one-point grid) every
-operator is a scalar, the chemical-potential equation becomes algebraic, and
+On a one-point grid every basis has one mode, so every operator is a
+scalar, the chemical-potential equation becomes algebraic, and
 the state, linearized, and adjoint systems reduce to two-dimensional ODE
 systems.  These are integrated here with classic fixed-step RK4 at a much
 finer step, giving reference trajectories accurate far beyond the implicit
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Potential, Proliferation
-from .spectral import FractionalPower, build_basis, midpoint_grid
+from .spectral import FractionalPower, SpectralBasis, midpoint_grid
 from .system import TumorSystem
 
 
@@ -210,9 +210,7 @@ def single_mode_system(a: float, b: float, c: float, potential: Potential,
     vec = np.array([[1.0 / math.sqrt(math.pi)]])
 
     def op(lam):
-        basis = build_basis("custom", 1, grid, eigenvalues=np.array([lam]),
-                            eigvecs=vec)
-        return FractionalPower(basis, 1.0)
+        return FractionalPower(SpectralBasis(np.array([lam]), vec, grid), 1.0)
 
     system = TumorSystem(grid=grid, op_A=op(a), op_B=op(b), op_C=op(c),
                          potential=potential, proliferation=proliferation)

@@ -1,10 +1,10 @@
-"""Quadrature grids, spectral eigenbases, and fractional operator powers.
+"""Quadrature grids, complete spectral eigenbases, and fractional operator powers.
 
 All three diffusion operators of the model are realized through their
-eigenpairs on a shared midpoint-collocation grid, where both the sine
-(Dirichlet) and cosine (Neumann) families are discretely orthogonal.
-Fractional powers act by scaling modal coefficients by lambda_j**p, with
-the continuous extension 0**p = 0 for a zero eigenvalue.
+eigenpairs, one per grid point, on a shared midpoint-collocation grid, where
+both the sine (Dirichlet) and cosine (Neumann) families are discretely
+orthogonal.  Fractional powers act by scaling modal coefficients by
+lambda_j**p, with the continuous extension 0**p = 0 for a zero eigenvalue.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def midpoint_grid(n_points: int, L: float) -> QuadratureGrid:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Eigenvalues and eigenfunction values, discretely orthonormal on the grid."""
+    """One eigenpair per grid point, discretely orthonormal on the grid."""
 
     eigenvalues: np.ndarray
-    eigvecs: np.ndarray  # shape (n_points, n_modes), column j = e_j on the grid
+    eigvecs: np.ndarray  # shape (N, N), column j = e_j on the grid
     grid: QuadratureGrid
 
     _GRAM_TOL = 1e-8
@@ -73,50 +73,39 @@ class SpectralBasis:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
         object.__setattr__(self, "eigvecs", np.asarray(self.eigvecs, dtype=float))
-        if self.eigvecs.shape != (self.grid.n_points, self.eigenvalues.size):
-            raise ValueError("eigvecs must have shape (n_points, n_modes)")
+        N = self.grid.n_points
+        if self.eigenvalues.shape != (N,) or self.eigvecs.shape != (N, N):
+            raise ValueError(f"a basis on {N} points needs {N} eigenvalues and "
+                             f"eigvecs of shape ({N}, {N})")
         if np.any(self.eigenvalues < 0.0) or np.any(np.diff(self.eigenvalues) < 0.0):
             raise ValueError("eigenvalues must be nonnegative and nondecreasing")
         gram = self.eigvecs.T @ (self.grid.weights[:, None] * self.eigvecs)
-        defect = np.max(np.abs(gram - np.eye(self.n_modes)))
+        defect = np.max(np.abs(gram - np.eye(N)))
         if defect > self._GRAM_TOL:
             raise ValueError(
                 f"eigenvectors are not orthonormal under the grid quadrature "
                 f"(Gram deviation {defect:.3e})"
             )
 
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
 
-
-def build_basis(kind, n_modes: int, grid: QuadratureGrid, *,
-                eigenvalues=None, eigvecs=None) -> SpectralBasis:
-    """Construct a built-in Laplacian eigenbasis or wrap a custom one.
+def build_basis(kind, grid: QuadratureGrid) -> SpectralBasis:
+    """Construct a built-in Laplacian eigenbasis with one mode per grid point.
 
     Built-ins on (0, L): Dirichlet sine modes with lambda_j = (j pi / L)^2 and
     Neumann cosine modes with lambda_j = ((j-1) pi / L)^2 (constant first mode).
     Columns are renormalized in the discrete inner product; this only affects
     the Nyquist sine mode, which otherwise has discrete norm sqrt(2).
     """
-    if kind not in ("dirichlet_laplace", "neumann_laplace", "custom"):
+    if kind not in ("dirichlet_laplace", "neumann_laplace"):
         raise ValueError(f"unknown basis kind {kind!r}")
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
     N = grid.n_points
-    if kind == "custom":
-        if eigenvalues is None or eigvecs is None:
-            raise ValueError("custom basis requires eigenvalues and eigvecs")
-        return SpectralBasis(eigenvalues, eigvecs, grid)
-    if n_modes > N:
-        raise ValueError(f"at most {N} modes fit on a grid of {N} points")
     x = grid.points
     if kind == "dirichlet_laplace":
-        j = np.arange(1, n_modes + 1)
+        j = np.arange(1, N + 1)
         lam = (j * np.pi / grid.L) ** 2
         E = np.sqrt(2.0 / grid.L) * np.sin(np.outer(x, j * np.pi / grid.L))
     else:  # Neumann
-        j = np.arange(n_modes)
+        j = np.arange(N)
         lam = (j * np.pi / grid.L) ** 2
         E = np.sqrt(2.0 / grid.L) * np.cos(np.outer(x, j * np.pi / grid.L))
         E[:, 0] = 1.0 / np.sqrt(grid.L)
@@ -151,7 +140,7 @@ class FractionalPower:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense grid-space matrix of the power composed with modal projection."""
+        """Dense grid-space matrix E diag(lambda**p) E^T W of the power."""
         E = self.basis.eigvecs
         w = self.basis.grid.weights
         return (E * self.scaled_eigenvalues[None, :]) @ (E.T * w[None, :])

@@ -63,7 +63,7 @@ def check_operator_algebra(system: TumorSystem, seed: int) -> CheckResult:
         raw = rng.standard_normal(N)
         for op in (system.op_A, system.op_B, system.op_C):
             E = op.basis.eigvecs
-            v = E @ (E.T @ (w * raw))  # project into the retained span
+            v = E @ (E.T @ (w * raw))  # E E^T W = I up to rounding
             scale = max(norm(v), 1e-12)
             comp = op.half.matrix @ (op.half.matrix @ v)
             worst = max(worst, norm(comp - op.matrix @ v) / scale)

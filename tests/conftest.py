@@ -8,14 +8,13 @@ from tumorctrl import (FractionalPower, Potential, Proliferation, TumorSystem,
 
 
 def build_system(n_points=16, L=math.pi, rho=0.5, sigma=0.6, tau=0.5,
-                 potential=None, proliferation=None, n_modes=None):
+                 potential=None, proliferation=None):
     grid = midpoint_grid(n_points, L)
-    n_modes = n_modes or n_points
     return TumorSystem(
         grid=grid,
-        op_A=FractionalPower(build_basis("dirichlet_laplace", n_modes, grid), 2 * rho),
-        op_B=FractionalPower(build_basis("neumann_laplace", n_modes, grid), 2 * sigma),
-        op_C=FractionalPower(build_basis("neumann_laplace", n_modes, grid), 2 * tau),
+        op_A=FractionalPower(build_basis("dirichlet_laplace", grid), 2 * rho),
+        op_B=FractionalPower(build_basis("neumann_laplace", grid), 2 * sigma),
+        op_C=FractionalPower(build_basis("neumann_laplace", grid), 2 * tau),
         potential=potential or Potential.regular(),
         proliferation=proliferation or Proliferation(),
     )

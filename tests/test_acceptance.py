@@ -44,9 +44,9 @@ def desk_system(potential=None, proliferation=None) -> TumorSystem:
     grid = midpoint_grid(N_DESK, L)
     return TumorSystem(
         grid=grid,
-        op_A=FractionalPower(build_basis("dirichlet_laplace", N_DESK, grid), 1.5),
-        op_B=FractionalPower(build_basis("neumann_laplace", N_DESK, grid), 1.2),
-        op_C=FractionalPower(build_basis("neumann_laplace", N_DESK, grid), 1.0),
+        op_A=FractionalPower(build_basis("dirichlet_laplace", grid), 1.5),
+        op_B=FractionalPower(build_basis("neumann_laplace", grid), 1.2),
+        op_C=FractionalPower(build_basis("neumann_laplace", grid), 1.0),
         potential=potential or Potential.regular(),
         proliferation=proliferation or Proliferation(p0=0.5, p1=0.1),
     )
@@ -89,8 +89,8 @@ def test_criterion_01_operator_algebra(system):
     for _ in range(100):
         fp = system.op_A if rng.random() < 0.5 else system.op_B
         basis = fp.basis
-        v = basis.eigvecs @ rng.standard_normal(basis.n_modes)
-        w = basis.eigvecs @ rng.standard_normal(basis.n_modes)
+        v = basis.eigvecs @ rng.standard_normal(system.n_points)
+        w = basis.eigvecs @ rng.standard_normal(system.n_points)
         p, q = rng.uniform(0.2, 1.0, size=2)
         Ap = FractionalPower(basis, p).matrix
 

@@ -6,13 +6,13 @@ from scipy.linalg import eigh
 
 from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, ControlProblemSpec,
                        DegenerateSystemError, FractionalPower, Potential, Proliferation,
-                       QuadratureGrid, SolverConfig, TimeGrid, TumorSystem,
-                       adjoint_residuals, build_adjoint_data, build_basis, solve_adjoint,
+                       QuadratureGrid, SolverConfig, SpectralBasis, TimeGrid, TumorSystem,
+                       adjoint_residuals, build_adjoint_data, solve_adjoint,
                        solve_adjoint_viscous_galerkin, solve_forward, viscosity_sweep)
 from tumorctrl.state import StepOperator
 from tumorctrl.verify import _zero_spec
 
-from conftest import (backward_error, build_system, dense_step_matrix, logarithmic_run,
+from conftest import (backward_error, dense_step_matrix, logarithmic_run,
                       single_mode_system)
 
 U = np.finfo(float).eps / 2
@@ -212,16 +212,6 @@ def test_singular_viscous_node_names_the_node(monkeypatch, generic_run):
         solve_adjoint_viscous_galerkin(system, tg, traj, spec, 100)
 
 
-def test_viscous_cross_check_rejects_truncated_basis():
-    system = build_system(n_modes=12)
-    x = system.grid.points
-    tg = TimeGrid(0.01, 2)
-    traj = solve_forward(system, tg, 0.2, 0.3 * np.sin(x), 0.4 * np.ones(16))
-    spec = _zero_spec(tg.n_steps, system.n_points)
-    with pytest.raises(ValueError, match="complete A and B bases"):
-        solve_adjoint_viscous_galerkin(system, tg, traj, spec, 100)
-
-
 def test_viscosity_sweep_monotone(generic_run):
     system, tg, u, phi0, S0, traj = generic_run
     spec = _zero_spec(tg.n_steps, system.n_points,
@@ -316,9 +306,7 @@ def test_adjoint_steps_solve_dense_oracle_on_graded_grid():
 
     def power(M, exponent):
         lam, vecs = eigh(M, np.diag(grid.weights))
-        basis = build_basis("custom", N, grid, eigenvalues=np.maximum(lam, 0.0),
-                            eigvecs=vecs)
-        return FractionalPower(basis, exponent)
+        return FractionalPower(SpectralBasis(np.maximum(lam, 0.0), vecs, grid), exponent)
 
     system = TumorSystem(grid, power(dirichlet, 1.0), power(neumann, 1.2),
                          power(neumann, 1.0), Potential.logarithmic(c1=2.0),

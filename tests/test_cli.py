@@ -99,86 +99,111 @@ def test_invalid_config_exits_with_config_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("section, value, key_path", [
-    ("solver", {"damping": 1.5}, "solver.damping"),
-    ("proliferation", {"p0": "abc", "p1": 0.1}, "proliferation.p0"),
-    ("potential", "regular", "potential"),
-    ("control", {"preset": "constant", "value": float("nan")}, "control"),
+def _case(tag, section, value, key_path):
+    # a fixed tag per case, so that removing a case renames no other
+    return pytest.param(section, value, key_path, id=f"{section}-{tag}-{key_path}")
+
+
+MALFORMED_CONFIGS = [
+    _case("value0", "solver", {"damping": 1.5}, "solver.damping"),
+    _case("value1", "proliferation", {"p0": "abc", "p1": 0.1}, "proliferation.p0"),
+    _case("regular", "potential", "regular", "potential"),
+    _case("value3", "control", {"preset": "constant", "value": float("nan")},
+          "control"),
     # the mode count is no longer a setting (every basis keeps n_points), so
     # even the value it always had is an unknown key
-    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": 8},
-     "operators.n_modes"),
+    _case("value4", "operators", {"rho": 0.75, "sigma": 0.6, "tau": 0.5, "n_modes": 8},
+          "operators.n_modes"),
     # non-finite numbers: ints that overflow and floats that must be finite
-    ("seed", math.inf, "seed"),
-    ("solver", {"newton_max_iter": math.inf}, "solver.newton_max_iter"),
-    ("optimizer", {"max_iters": math.inf}, "optimizer.max_iters"),
-    ("initial_data", {"phi0": {"preset": "sine", "mode": math.inf}},
-     "initial_data.phi0.mode"),
-    ("domain", {"L": math.inf, "n_points": 8}, "domain.L"),
-    ("time", {"T": math.inf, "n_steps": 20}, "time.T"),
-    ("operators", {"rho": math.inf, "sigma": 0.6, "tau": 0.5}, "operators.rho"),
-    ("operators", {"rho": 0.75, "sigma": 0.6, "tau": math.nan}, "operators.tau"),
-    ("potential", {"kind": "logarithmic", "c1": math.inf}, "potential.c1"),
-    ("proliferation", {"p0": 0.5, "p1": math.inf}, "proliferation.p1"),
-    ("cost", {"kappas": [math.inf, 0.0, 1.0, 0.0, 1.0]}, "cost.kappas"),
+    _case("inf", "seed", math.inf, "seed"),
+    _case("value6", "solver", {"newton_max_iter": math.inf}, "solver.newton_max_iter"),
+    _case("value7", "optimizer", {"max_iters": math.inf}, "optimizer.max_iters"),
+    _case("value8", "initial_data", {"phi0": {"preset": "sine", "mode": math.inf}},
+          "initial_data.phi0.mode"),
+    _case("value9", "domain", {"L": math.inf, "n_points": 8}, "domain.L"),
+    _case("value10", "time", {"T": math.inf, "n_steps": 20}, "time.T"),
+    _case("value11", "operators", {"rho": math.inf, "sigma": 0.6, "tau": 0.5},
+          "operators.rho"),
+    _case("value12", "operators", {"rho": 0.75, "sigma": 0.6, "tau": math.nan},
+          "operators.tau"),
+    _case("value13", "potential", {"kind": "logarithmic", "c1": math.inf},
+          "potential.c1"),
+    _case("value14", "proliferation", {"p0": 0.5, "p1": math.inf}, "proliferation.p1"),
+    _case("value15", "cost", {"kappas": [math.inf, 0.0, 1.0, 0.0, 1.0]}, "cost.kappas"),
     # tolerances must be finite: an infinite one accepts a frozen trajectory
-    ("solver", {"newton_tol": math.inf}, "solver.newton_tol"),
-    ("solver", {"newton_tol": -1.0}, "solver.newton_tol"),
-    ("optimizer", {"tol": math.inf}, "optimizer.tol"),
-    ("optimizer", {"tol": -1.0}, "optimizer.tol"),
-    ("optimizer", {"tol": math.nan}, "optimizer.tol"),
+    _case("value16", "solver", {"newton_tol": math.inf}, "solver.newton_tol"),
+    _case("value17", "solver", {"newton_tol": -1.0}, "solver.newton_tol"),
+    _case("value18", "optimizer", {"tol": math.inf}, "optimizer.tol"),
+    _case("value19", "optimizer", {"tol": -1.0}, "optimizer.tol"),
+    _case("value20", "optimizer", {"tol": math.nan}, "optimizer.tol"),
     # misspelt keys and non-boolean switches are not silently ignored
-    ("solver", {"newton_tols": 1e-3}, "solver.newton_tols"),
-    ("optimizer", {"max_backtracks": 5}, "optimizer.max_backtracks"),
-    ("solver", {"split_f2_explicit": "false"}, "solver.split_f2_explicit"),
-    ("solver", {"split_f2_explicit": 1}, "solver.split_f2_explicit"),
+    _case("value21", "solver", {"newton_tols": 1e-3}, "solver.newton_tols"),
+    _case("value22", "optimizer", {"max_backtracks": 5}, "optimizer.max_backtracks"),
+    _case("value23", "solver", {"split_f2_explicit": "false"},
+          "solver.split_f2_explicit"),
+    _case("value24", "solver", {"split_f2_explicit": 1}, "solver.split_f2_explicit"),
     # integer fields take neither booleans nor non-integral floats
-    ("domain", {"L": math.pi, "n_points": True}, "domain.n_points"),
-    ("domain", {"L": math.pi, "n_points": 8.5}, "domain.n_points"),
-    ("time", {"T": 0.05, "n_steps": True}, "time.n_steps"),
-    ("time", {"T": 0.05, "n_steps": 20.5}, "time.n_steps"),
-    ("control", {"preset": "sine", "mode": True}, "control.mode"),
-    ("control", {"preset": "sine", "mode": 1.5}, "control.mode"),
-    ("initial_data", {"phi0": {"preset": "sine", "mode": True}},
-     "initial_data.phi0.mode"),
-    ("initial_data", {"phi0": {"preset": "sine", "mode": 1.5}},
-     "initial_data.phi0.mode"),
-    ("seed", True, "seed"),
-    ("seed", 1.9, "seed"),
-    ("solver", {"newton_max_iter": True}, "solver.newton_max_iter"),
-    ("solver", {"newton_max_iter": 2.7}, "solver.newton_max_iter"),
-    ("optimizer", {"max_iters": False}, "optimizer.max_iters"),
-    ("optimizer", {"max_iters": 0.5}, "optimizer.max_iters"),
+    _case("value25", "domain", {"L": math.pi, "n_points": True}, "domain.n_points"),
+    _case("value26", "domain", {"L": math.pi, "n_points": 8.5}, "domain.n_points"),
+    _case("value27", "time", {"T": 0.05, "n_steps": True}, "time.n_steps"),
+    _case("value28", "time", {"T": 0.05, "n_steps": 20.5}, "time.n_steps"),
+    _case("value29", "control", {"preset": "sine", "mode": True}, "control.mode"),
+    _case("value30", "control", {"preset": "sine", "mode": 1.5}, "control.mode"),
+    _case("value31", "initial_data", {"phi0": {"preset": "sine", "mode": True}},
+          "initial_data.phi0.mode"),
+    _case("value32", "initial_data", {"phi0": {"preset": "sine", "mode": 1.5}},
+          "initial_data.phi0.mode"),
+    _case("True", "seed", True, "seed"),
+    _case("1.9", "seed", 1.9, "seed"),
+    _case("value35", "solver", {"newton_max_iter": True}, "solver.newton_max_iter"),
+    _case("value36", "solver", {"newton_max_iter": 2.7}, "solver.newton_max_iter"),
+    _case("value37", "optimizer", {"max_iters": False}, "optimizer.max_iters"),
+    _case("value38", "optimizer", {"max_iters": 0.5}, "optimizer.max_iters"),
     # float fields take no booleans
-    ("domain", {"L": True, "n_points": 8}, "domain.L"),
-    ("operators", {"rho": True, "sigma": 0.6, "tau": 0.5}, "operators.rho"),
-    ("solver", {"damping": True}, "solver.damping"),
-    ("cost", {"bounds": {"u_min": False, "u_max": True}}, "cost.bounds.u_max"),
-    ("cost", {"kappas": [True, 0, 1, 0, 1]}, "cost.kappas"),
-    ("control", {"preset": "constant", "value": True}, "control.value"),
+    _case("value39", "domain", {"L": True, "n_points": 8}, "domain.L"),
+    _case("value40", "operators", {"rho": True, "sigma": 0.6, "tau": 0.5},
+          "operators.rho"),
+    _case("value41", "solver", {"damping": True}, "solver.damping"),
+    _case("value42", "cost", {"bounds": {"u_min": False, "u_max": True}},
+          "cost.bounds.u_max"),
+    _case("value43", "cost", {"kappas": [True, 0, 1, 0, 1]}, "cost.kappas"),
+    _case("value44", "control", {"preset": "constant", "value": True}, "control.value"),
     # unknown keys at the top level, in a section and in a preset
-    ("solvers", {"damping": 0.5}, "solvers"),
-    ("potential", {"kinds": "logarithmic"}, "potential.kinds"),
-    ("cost", {"bounds": {"umin": 5}}, "cost.bounds.umin"),
-    ("domain", {"L": math.pi, "n_points": 8, "Lx": 3}, "domain.Lx"),
-    ("proliferation", {"p0": 0.5, "p1": 0.1, "p2": 3}, "proliferation.p2"),
-    ("initial_data", {"phi0": {"preset": "constant", "value": 0.25, "amplitde": 3}},
-     "initial_data.phi0.amplitde"),
-    ("control", {"preset": "constant", "amplitude": 3}, "control.amplitude"),
-    ("cost", {"targets": {"phi_q": {"preset": "zero"}}}, "cost.targets.phi_q"),
+    _case("value45", "solvers", {"damping": 0.5}, "solvers"),
+    _case("value46", "potential", {"kinds": "logarithmic"}, "potential.kinds"),
+    _case("value47", "cost", {"bounds": {"umin": 5}}, "cost.bounds.umin"),
+    _case("value48", "domain", {"L": math.pi, "n_points": 8, "Lx": 3}, "domain.Lx"),
+    _case("value49", "proliferation", {"p0": 0.5, "p1": 0.1, "p2": 3},
+          "proliferation.p2"),
+    _case("value50", "initial_data",
+          {"phi0": {"preset": "constant", "value": 0.25, "amplitde": 3}},
+          "initial_data.phi0.amplitde"),
+    _case("value51", "control", {"preset": "constant", "amplitude": 3},
+          "control.amplitude"),
+    _case("value52", "cost", {"targets": {"phi_q": {"preset": "zero"}}},
+          "cost.targets.phi_q"),
     # presets are evaluated when the config is read
-    ("control", {"preset": "values", "values": [0.1] * 7}, "control.values"),
+    _case("value53", "control", {"preset": "values", "values": [0.1] * 7},
+          "control.values"),
     # an infinite first step takes no step and reports the initial cost as final
-    ("optimizer", {"step0": math.inf}, "optimizer.step0"),
+    _case("value54", "optimizer", {"step0": math.inf}, "optimizer.step0"),
     # the builders need each eigenvalue (j pi / L)^2 to be a normal float
-    ("domain", {"L": 5e-324, "n_points": 8}, "domain.L"),
-    ("domain", {"L": 1e300, "n_points": 8}, "domain.L"),
+    _case("value55", "domain", {"L": 5e-324, "n_points": 8}, "domain.L"),
+    _case("value56", "domain", {"L": 1e300, "n_points": 8}, "domain.L"),
     # the operators are dense N x N matrices
-    ("domain", {"L": math.pi, "n_points": 2**20}, "domain.n_points"),
+    _case("value57", "domain", {"L": math.pi, "n_points": 2**20}, "domain.n_points"),
     # negative counts and seeds
-    ("optimizer", {"max_iters": -1}, "optimizer.max_iters"),
-    ("seed", -1, "seed"),
-])
+    _case("value58", "optimizer", {"max_iters": -1}, "optimizer.max_iters"),
+    _case("-1", "seed", -1, "seed"),
+]
+
+
+def test_malformed_config_ids_are_unique():
+    ids = [case.id for case in MALFORMED_CONFIGS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("section, value, key_path", MALFORMED_CONFIGS)
 def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
                                                  value, key_path):
     cfg_path = small_config(tmp_path, **{section: value})
