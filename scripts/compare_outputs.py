@@ -1,4 +1,5 @@
-"""Run the five CLI commands in two checkouts and compare what they write.
+"""Run the five CLI commands and the sensitivity chain in two checkouts and
+compare what they produce.
 
 Usage:
 
@@ -15,14 +16,28 @@ both checkouts, which is removed afterwards.
 Every written file is compared byte for byte.  The one thing ignored is the
 ``output_dir`` line of ``config.yaml``, which names the temporary directory.
 For each file that differs the script prints the largest relative difference
-of the numbers in it.  It exits 1 if a file or an exit code differs, and 0
-if everything is identical.  Uses only the standard library and numpy.
+of the numbers in it.
+
+The benchmark's library chain, sensitivity-n128 at seed 0 and full size (a
+fully implicit logarithmic forward solve, then the linearized, adjoint and
+viscous-Galerkin solves), runs once per checkout, again in a fresh process
+with the same environment.  Its inputs come from PARENT's
+``perfbench/workloads.make_inputs``, and its operation and output checks from
+that module's ``Context``, ``run_op`` and ``check_op``.  The chain's 14 arrays
+are compared bit for bit, each with its largest relative difference when it
+differs, and every ``check_op`` failure is printed.
+
+The script exits 1 if a file, an exit code or a chain array differs or a
+chain check fails, and 0 if everything is identical.  Uses only the standard
+library and numpy (and pyyaml, which the benchmark's input writer uses).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -34,12 +49,36 @@ import numpy as np
 
 COMMANDS = ("simulate", "optimize", "verify", "adjoint-check", "linearize-check")
 _SEPARATORS = re.compile(r'[\s,:\[\]{}"]+')
+CHAIN = "sensitivity-n128"
+CHAIN_ARRAYS = ("times", "mu", "phi", "S", "newton_iterations", "eta", "xi", "zeta",
+                "q", "p", "r", "viscous_q", "viscous_p", "viscous_r")
+# run in a fresh process: argv is the workloads module, the input files as
+# JSON and the .npz to write; prints check_op's failures as JSON
+_CHAIN_SCRIPT = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+ctx = workloads.Context(%r, json.loads(sys.argv[2]))
+result = workloads.run_op(ctx, None)
+traj, lin, adj, visc = (result[k] for k in ("traj", "lin", "adj", "visc"))
+np.savez(sys.argv[3], times=traj.times, mu=traj.mu, phi=traj.phi, S=traj.S,
+         newton_iterations=traj.newton_iterations, eta=lin.eta, xi=lin.xi,
+         zeta=lin.zeta, q=adj.q, p=adj.p, r=adj.r, viscous_q=visc.q,
+         viscous_p=visc.p, viscous_r=visc.r)
+print(json.dumps(workloads.check_op(ctx, result)[0]))
+""" % CHAIN
+
+
+def _env(root: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+                PYTHONDONTWRITEBYTECODE="1")
 
 
 def run_commands(root: Path, config: Path, out: Path) -> dict:
     """Run every command of the checkout at root; returns command -> exit code."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
-               PYTHONDONTWRITEBYTECODE="1")
+    env = _env(root)
     codes = {}
     for command in COMMANDS:
         proc = subprocess.run(
@@ -83,6 +122,11 @@ def largest_relative_difference(path: Path, a: bytes, b: bytes) -> str:
     y, y_rest = numbers(path, b)
     if x_rest != y_rest or x.shape != y.shape:
         return "differs in structure"
+    return relative_difference(x, y)
+
+
+def relative_difference(x: np.ndarray, y: np.ndarray) -> str:
+    """The largest relative difference of two equally shaped float arrays."""
     both_nan = np.isnan(x) & np.isnan(y)
     scale = np.maximum(np.abs(x), np.abs(y))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -112,6 +156,54 @@ def compare(parent: Path, change: Path) -> int:
     return differing
 
 
+def run_chain(root: Path, workloads: Path, files: dict, out: Path) -> list:
+    """Run the chain with the checkout at root into the .npz out; returns the
+    failures of its output checks, or the crash as one failure."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHAIN_SCRIPT, str(workloads), json.dumps(files), str(out)],
+        cwd=out.parent, env=_env(root), capture_output=True, text=True)
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [""])[-1]
+        return [f"exited {proc.returncode}: {last}"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compare_chain(parent: Path, change: Path) -> int:
+    """Print one line per chain array; returns the count of arrays that differ."""
+    differing = 0
+    with np.load(parent) as a, np.load(change) as b:
+        for name in CHAIN_ARRAYS:
+            x, y = a[name], b[name]
+            if x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes():
+                print(f"{CHAIN} {name}: identical")
+                continue
+            differing += 1
+            how = (relative_difference(x.astype(float).ravel(), y.astype(float).ravel())
+                   if x.shape == y.shape else "differs in shape")
+            print(f"{CHAIN} {name}: DIFFERS, {how}")
+    return differing
+
+
+def chain(roots: dict, tmp: Path) -> int:
+    """Run the chain in both checkouts on the inputs of the parent's benchmark
+    and compare its arrays; returns the count of differences and failures."""
+    workloads = roots["parent"] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", workloads)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    files = module.make_inputs(CHAIN, 0, "full", tmp / "chain-inputs")
+    bad, arrays = 0, {}
+    for side, root in roots.items():
+        arrays[side] = tmp / f"chain-{side}.npz"
+        failures = run_chain(root, workloads, files, arrays[side])
+        for failure in failures:
+            print(f"{CHAIN} check failed in {side}: {failure}")
+        bad += len(failures)
+    if all(path.is_file() for path in arrays.values()):
+        bad += compare_chain(arrays["parent"], arrays["change"])
+    return bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -138,6 +230,7 @@ def main(argv=None) -> int:
                 print(f"{command}: exit code {a} in parent, {b} in change")
                 bad += 1
         bad += compare(outs["parent"], outs["change"])
+        bad += chain(roots, Path(tmp))
     print("all outputs identical" if bad == 0 else f"{bad} difference(s)")
     return 1 if bad else 0
 

@@ -11,8 +11,7 @@ from .control import (OptimizationReport, OptimizerOptions, control_inner,
                       projected_gradient_descent, reduced_gradient,
                       sample_variational_inequality, stationarity_residual)
 from .errors import (ConfigError, DegenerateSystemError, DomainViolationError,
-                     NoSeparationIntervalError, SeparationFailureError,
-                     StepFailureError, TumorCtrlError)
+                     NoSeparationIntervalError, StepFailureError, TumorCtrlError)
 from .linearized import (LinearizedTrajectory, frechet_remainder_probe,
                          solve_linearized, y_norm)
 from .model import (Potential, Proliferation, SeparationInterval,

@@ -132,7 +132,6 @@ class ExperimentConfig:
         if not self.u_min <= self.u_max:
             raise ValueError("u_min: admissibility requires u_min <= u_max")
         grid = midpoint_grid(self.n_points, self.L)
-        a, b = self.potential.domain
         for name, preset in self._presets():
             with np.errstate(all="ignore"):
                 vals = preset.on(grid)
@@ -140,10 +139,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name}.values: expected {self.n_points} entries")
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{name}: values must be finite")
-            if name == "phi0_spec" and (np.any(vals <= a) or np.any(vals >= b)):
-                raise ValueError(
-                    f"{name}: values must lie in a compact subinterval of the "
-                    f"potential domain ({a}, {b})")
+            if name == "phi0_spec" and not self.potential.admits(vals):
+                raise ValueError(f"{name}: values must lie in the open interval "
+                                 f"{self.potential.bounds} that the potential evaluates")
 
     def _presets(self):
         yield from (("phi0_spec", self.phi0_spec), ("S0_spec", self.S0_spec),
@@ -214,11 +212,8 @@ _EXPECTED = {float: "a number", int: "an integer", bool: "true or false",
              str: "a string", tuple: "a list of numbers"}
 
 
-@cache
-def _settings(cls) -> dict:
-    """The config keys of cls, its fields that are not derived, with their types."""
-    types = get_type_hints(cls)
-    return {f.name: types[f.name] for f in fields(cls) if "derived" not in f.metadata}
+# the config keys of a class: its fields, with their types
+_settings = cache(get_type_hints)
 
 
 def _build(cls, given: dict, path_of):
@@ -233,7 +228,7 @@ def _build(cls, given: dict, path_of):
             raise ConfigError(f"{path_of(key)}: unknown key")
         kwargs[key] = _convert(kinds[key], val, path_of(key))
     for f in fields(cls):
-        if f.name in kinds and f.name not in kwargs and f.default is MISSING:
+        if f.name not in kwargs and f.default is MISSING:
             raise ConfigError(f"{path_of(f.name)}: missing required key")
     try:
         return cls(**kwargs)

@@ -24,10 +24,6 @@ class StepFailureError(TumorCtrlError):
                          f"{residual:.3e} after {iterations} iterations")
 
 
-class SeparationFailureError(TumorCtrlError):
-    """The phase field collapsed onto the boundary of the potential domain."""
-
-
 class NoSeparationIntervalError(TumorCtrlError):
     """f never exceeds the requested level toward a domain endpoint."""
 

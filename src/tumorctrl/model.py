@@ -9,8 +9,7 @@ f1(s) = int_0^s (f')^+ monotone nondecreasing and f2 Lipschitz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,40 +20,42 @@ SEPARATION_TOL = 1e-10  # |f - level| that a separation threshold root must reac
 
 
 _DOMAINS = {"regular": (-math.inf, math.inf), "logarithmic": (-1.0, 1.0)}
+# the open interval that evaluation admits: the kind's own, with the
+# logarithmic one kept out of the endpoint guard
+_BOUNDS = {"regular": _DOMAINS["regular"],
+           "logarithmic": (_LOG_GUARD - 1.0, 1.0 - _LOG_GUARD)}
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Local free energy F with derivative f on an open interval (a, b)."""
+    """Local free energy F with derivative f on its kind's open interval (a, b)."""
 
     kind: str = "regular"
     c1: float = 2.0
-    # (a, b): the kind's own interval unless given; derived, so not a config key
-    domain: tuple = field(default=None, metadata={"derived": True})
 
     def __post_init__(self):
         # each message starts with the offending field's name
         if self.kind not in _DOMAINS:
             raise ValueError(f"kind: unknown potential kind {self.kind!r}")
-        if self.domain is None:
-            object.__setattr__(self, "domain", _DOMAINS[self.kind])
-        a, b = self.domain
-        if not a < 0.0 < b:
-            raise ValueError("domain: the potential domain must contain 0")
-        lo, hi = _DOMAINS[self.kind]
-        if a < lo or b > hi:
-            raise ValueError(f"domain: the {self.kind} potential lives on ({lo}, {hi})")
-        if self.kind == "logarithmic" and not 1.0 < self.c1 < math.inf:
-            raise ValueError("c1: the logarithmic potential requires a finite c1 > 1")
+        if not 1.0 < self.c1 < math.inf:
+            raise ValueError("c1: must be finite and greater than 1")
 
-    @cached_property
-    def _bounds(self) -> tuple:
-        """The open interval that evaluation admits: the domain, kept out of
-        the logarithmic endpoint guard; built once."""
-        a, b = self.domain
-        if self.kind == "logarithmic":
-            a, b = max(a, _LOG_GUARD - 1.0), min(b, 1.0 - _LOG_GUARD)
-        return a, b
+    @property
+    def domain(self) -> tuple:
+        """The kind's open interval (a, b)."""
+        return _DOMAINS[self.kind]
+
+    @property
+    def bounds(self) -> tuple:
+        """The open interval that evaluation admits, inside the domain."""
+        return _BOUNDS[self.kind]
+
+    def admits(self, s) -> bool:
+        """Whether every entry of s lies in the open interval that evaluation admits."""
+        a, b = _BOUNDS[self.kind]
+        # fmin/fmax skip NaN as the comparisons do
+        return not (np.fmin.reduce(s, None, initial=b) <= a
+                    or np.fmax.reduce(s, None, initial=a) >= b)
 
     # -- constructors -------------------------------------------------------
 
@@ -70,10 +71,8 @@ class Potential:
 
     def _check(self, s):
         s = np.asarray(s, dtype=float)
-        a, b = self._bounds
-        # s <= a or s >= b somewhere; fmin/fmax skip NaN as the comparisons do
-        if np.fmin.reduce(s, None, initial=b) <= a or np.fmax.reduce(s, None, initial=a) >= b:
-            raise DomainViolationError(f"argument outside the open interval ({a}, {b})")
+        if not self.admits(s):
+            raise DomainViolationError(f"argument outside the open interval {self.bounds}")
         return s
 
     def F(self, s):
@@ -176,9 +175,8 @@ def separation_interval(potential: Potential, M: float, a0: float,
     """Smallest [a_M, b_M] containing [a0, b0] with f < -M left of a_M, f > M right of b_M."""
     if not M > 0.0:
         raise ValueError("M must be positive")
-    a, b = potential._bounds
-    if not (a < a0 <= b0 < b):
-        raise ValueError(f"[a0, b0] must be a compact subinterval of ({a}, {b})")
+    if not (a0 <= b0 and potential.admits([a0, b0])):
+        raise ValueError(f"[a0, b0] must be a compact subinterval of {potential.bounds}")
     b_M = _threshold_root(potential, M, b0, upper=True)
     a_M = _threshold_root(potential, M, a0, upper=False)
     return SeparationInterval(a_M=a_M, b_M=b_M)
@@ -190,7 +188,7 @@ def _threshold_root(potential: Potential, M: float, s0: float, upper: bool) -> f
     The bracket is halved down to two adjacent floats, and the end beyond the
     level is returned, so f(b_M) > M and f(a_M) < -M hold exactly.
     """
-    a, b = potential._bounds
+    a, b = potential.bounds
     target = M if upper else -M
     sign = 1.0 if upper else -1.0
     beyond = lambda z: sign * (float(potential.f(z)) - target) > 0.0

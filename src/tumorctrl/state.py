@@ -9,7 +9,7 @@ Each step solves, for the stacked unknowns (mu, phi, S) at the new node,
 with phi* = old phi (semi_implicit_P, default) or phi* = phi+ (fully
 implicit).  Newton starts at the extrapolated guess 2 x_1 - x_0 at the second
 step and at 3 x_{k-1} - 3 x_{k-2} + x_{k-3} from the third on, or at x_{k-1}
-when the guess's phi leaves the potential domain.  Newton updates are damped
+when the potential does not admit the guess's phi.  Newton updates are damped
 so phi iterates never leave the potential domain (fraction-to-the-boundary
 rule), except on a whole-line domain (the regular potential), where f itself
 rejects a non-finite phi.  A solve builds one ``StepOperator``, which holds the
@@ -39,13 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSystemError, SeparationFailureError, StepFailureError
+from .errors import DegenerateSystemError, StepFailureError
 from .spectral import UNIT_ROUNDOFF, solve_power_plus_mult
 from .system import TumorSystem
 
 SEMI_IMPLICIT_P = "semi_implicit_P"
 FULLY_IMPLICIT = "fully_implicit"
-_MIN_MARGIN = 1e-12  # the least distance of an accepted phi from the domain boundary
 _FLOOR_C = 0.125  # c of the Newton floor c sqrt(N) u (scale), module docstring
 
 
@@ -152,14 +151,12 @@ def _round_off_floor(system, dt, prev, new, u_k) -> float:
 def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
     a, b = system.potential.domain
     alpha = 1.0
-    if np.isfinite(b):
-        up = dphi > 0.0
-        if np.any(up):
-            alpha = min(alpha, cfg.damping * np.min((b - phi[up]) / dphi[up]))
-    if np.isfinite(a):
-        dn = dphi < 0.0
-        if np.any(dn):
-            alpha = min(alpha, cfg.damping * np.min((phi[dn] - a) / (-dphi[dn])))
+    up = dphi > 0.0
+    if np.any(up):
+        alpha = min(alpha, cfg.damping * np.min((b - phi[up]) / dphi[up]))
+    dn = dphi < 0.0
+    if np.any(dn):
+        alpha = min(alpha, cfg.damping * np.min((phi[dn] - a) / (-dphi[dn])))
     return max(alpha, 0.0)
 
 
@@ -256,7 +253,7 @@ class StepOperator:
 def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
          step_index: int = 0, guess: Optional[tuple] = None) -> tuple:
     """One implicit Euler step of op's system and dt from prev, with Newton
-    started at guess when its phi lies strictly inside the potential's domain;
+    started at guess when the potential admits its phi;
     returns (mu, phi, S, newton_iterations)."""
     system, dt = op.system, op.dt
     prev = tuple(np.asarray(v, dtype=float) for v in prev)
@@ -271,7 +268,7 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
 
     # without a usable guess Newton starts at the previous state, so the first
     # evaluation of f checks that phi_p lies in the potential's domain
-    if guess is not None and (not bounded or _domain_margin(system, guess[1]) > _MIN_MARGIN):
+    if guess is not None and (not bounded or pot.admits(guess[1])):
         mu, phi, S = (np.asarray(v, dtype=float) for v in guess)
     else:
         mu, phi, S = prev
@@ -287,10 +284,6 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
         if it == 1 and res_norm > tol:
             tol = max(tol, _round_off_floor(system, dt, prev, (mu, phi, S), u_k))
         if res_norm <= tol:
-            margin = _domain_margin(system, phi) if bounded else math.inf
-            if margin < _MIN_MARGIN:
-                raise SeparationFailureError(f"step {step_index}: phi within {margin:.3e} "
-                                             "of the potential domain boundary")
             return mu, phi, S, it
         if it == cfg.newton_max_iter:
             raise StepFailureError(step_index, res_norm, it)
@@ -306,13 +299,6 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
             alpha = _boundary_step_fraction(system, cfg, phi, d_phi)
             d_mu, d_phi, d_S = alpha * d_mu, alpha * d_phi, alpha * d_S
         mu, phi, S = mu + d_mu, phi + d_phi, S + d_S
-
-
-def _domain_margin(system, phi) -> float:
-    """Distance of phi from the boundary of the potential's domain."""
-    a, b = system.potential.domain
-    return min(float(np.min(b - phi)) if np.isfinite(b) else np.inf,
-               float(np.min(phi - a)) if np.isfinite(a) else np.inf)
 
 
 def solve_forward(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,

@@ -195,6 +195,8 @@ MALFORMED_CONFIGS = [
     # negative counts and seeds
     _case("value58", "optimizer", {"max_iters": -1}, "optimizer.max_iters"),
     _case("-1", "seed", -1, "seed"),
+    _case("value59", "potential", {"kind": "regular", "c1": math.nan}, "potential.c1"),
+    _case("value60", "potential", {"kind": "regular", "c1": -5.0}, "potential.c1"),
 ]
 
 
@@ -209,6 +211,21 @@ def test_malformed_config_exits_with_config_code(tmp_path, capsys, section,
     cfg_path = small_config(tmp_path, **{section: value})
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert f"config error: {key_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [(1.0 - 1e-13, EXIT_CONFIG),
+                                         (-1.0 + 1e-13, EXIT_CONFIG), (0.999, EXIT_OK)])
+def test_logarithmic_phi0_must_be_evaluable(tmp_path, capsys, value, code):
+    # 1 - 1e-13 lies in (-1, 1) but inside the potential's endpoint guard
+    phi0 = [0.3] * 8
+    phi0[3] = value
+    cfg_path = small_config(
+        tmp_path, potential={"kind": "logarithmic", "c1": 2.0},
+        initial_data={"phi0": {"preset": "values", "values": phi0},
+                      "S0": {"preset": "constant", "value": 0.4}})
+    assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == code
+    if code == EXIT_CONFIG:
+        assert "config error: initial_data.phi0: " in capsys.readouterr().err
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):

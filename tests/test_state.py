@@ -7,11 +7,12 @@ import pytest
 
 from tumorctrl import (FULLY_IMPLICIT, SEMI_IMPLICIT_P, DegenerateSystemError,
                        DomainViolationError, Potential, Proliferation,
-                       SeparationFailureError, SolverConfig, StepFailureError, TimeGrid,
+                       SolverConfig, StepFailureError, TimeGrid,
                        discrete_energy, energy_identity_residual, initial_mu,
                        load_trajectory, max_mu_inf, parse_config, pde_residuals,
                        save_trajectory, solve_adjoint, solve_forward, solve_linearized,
                        state, verify)
+from tumorctrl.model import _LOG_GUARD
 from conftest import (backward_error, build_system, dense_step_matrix, grid_norm,
                       logarithmic_run, single_mode_system)
 
@@ -374,25 +375,19 @@ def test_logarithmic_step_damps_toward_the_boundary():
     assert 0.999 < np.max(np.abs(phi1)) < 1.0
 
 
-@pytest.mark.parametrize("kind", ["regular", "logarithmic"])
-def test_step_on_a_bounded_domain_keeps_its_domain_tests(kind):
-    # the domain tests key on the domain, not on the potential's kind: a
-    # potential cut to (-1, 0.5) falls back from a guess outside it ...
-    system = build_system(potential=Potential(kind=kind, c1=2.0, domain=(-1.0, 0.5)))
-    x = system.grid.points
-    phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
-    prev = (initial_mu(system, phi, S), phi, S)
-    op, cfg, u_k = state.StepOperator(system, 0.01), SolverConfig(), 0.2 * np.ones(16)
-    guess = (prev[0], phi + 0.3, S)
-    from_guess = state.step(op, cfg, prev, u_k, step_index=2, guess=guess)
-    from_prev = state.step(op, cfg, prev, u_k, step_index=2)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_guess_at_the_first_rejected_float_falls_back(sign):
+    # fl(1 - 1e-12) is the first float the logarithmic potential rejects, 9.9998e-13
+    # from 1: a guess whose phi reaches it starts Newton at the previous state
+    system, tg, u, traj = logarithmic_run(SEMI_IMPLICIT_P, False)
+    prev = (traj.mu[24], traj.phi[24], traj.S[24])
+    phi = traj.phi[24].copy()
+    phi[np.argmax(sign * phi)] = sign * (1.0 - _LOG_GUARD)
+    op, cfg = state.StepOperator(system, tg.dt), SolverConfig()
+    from_guess = state.step(op, cfg, prev, u[24], step_index=25, guess=(prev[0], phi, prev[2]))
+    from_prev = state.step(op, cfg, prev, u[24], step_index=25)
     for a, b in zip(from_guess, from_prev):
         assert np.array_equal(a, b)
-    # ... and rejects an accepted phi within 1e-12 of the boundary
-    near = phi.copy()
-    near[np.argmax(phi)] = 0.5 - 1e-13
-    with pytest.raises(SeparationFailureError, match="^step 4: "):
-        state.step(op, SolverConfig(newton_tol=1e6), (prev[0], near, S), u_k, step_index=4)
 
 
 def test_extrapolated_start_takes_one_newton_iteration():
