@@ -91,21 +91,21 @@ def stationarity_residual(system: TumorSystem, time_grid: TimeGrid,
 
 
 def fd_gradient_check(system: TumorSystem, time_grid: TimeGrid, u: np.ndarray,
-                      h: np.ndarray, phi0: np.ndarray, S0: np.ndarray,
+                      h: np.ndarray, traj: StateTrajectory,
                       spec: ControlProblemSpec, eps_list=(1e-2, 1e-3, 1e-4),
                       cfg: SolverConfig | None = None):
-    """Central differences of the reduced cost against the adjoint gradient.
-
-    Returns (eps array, relative errors); the reference is the pairing
-    <r + kappa5 u, h> in L2(Q).
+    """Central differences of the reduced cost against the adjoint gradient
+    around traj, the state at u under cfg; the perturbed runs start at its
+    initial data.  Returns (eps array, relative errors); the reference is the
+    pairing <r + kappa5 u, h> in L2(Q).
     """
     h = np.asarray(h, dtype=float)
     if not np.any(h):
         raise ValueError("zero probe direction is degenerate")
     n, N = time_grid.n_steps, system.n_points
     u = np.broadcast_to(np.asarray(u, dtype=float), (n, N))
+    phi0, S0 = traj.phi[0], traj.S[0]
 
-    traj = solve_forward(system, time_grid, u, phi0, S0, cfg)
     adj = solve_adjoint(system, time_grid, traj, spec)
     pairing = control_inner(system, time_grid, reduced_gradient(u, adj, spec), h)
 

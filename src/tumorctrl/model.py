@@ -2,7 +2,8 @@
 
 The regular potential F(r) = (r^2 - 1)^2 / 4 lives on the whole line; the
 logarithmic one, (1+r)ln(1+r) + (1-r)ln(1-r) - c1 r^2 with c1 > 1, on (-1, 1)
-with f = F' blowing up at the endpoints.  f splits as f1 + f2 with
+with f = F' blowing up at the endpoints, less a 1e-12 guard at each end
+(``Potential.bounds``).  NaN lies in neither interval.  f splits as f1 + f2 with
 f1(s) = int_0^s (f')^+ monotone nondecreasing and f2 Lipschitz.
 """
 
@@ -19,10 +20,9 @@ _LOG_GUARD = 1e-12
 SEPARATION_TOL = 1e-10  # |f - level| that a separation threshold root must reach
 
 
-_DOMAINS = {"regular": (-math.inf, math.inf), "logarithmic": (-1.0, 1.0)}
-# the open interval that evaluation admits: the kind's own, with the
-# logarithmic one kept out of the endpoint guard
-_BOUNDS = {"regular": _DOMAINS["regular"],
+# the open interval that evaluation admits: the whole line, or (-1, 1) with
+# the logarithmic potential kept out of the endpoint guard
+_BOUNDS = {"regular": (-math.inf, math.inf),
            "logarithmic": (_LOG_GUARD - 1.0, 1.0 - _LOG_GUARD)}
 
 
@@ -35,27 +35,23 @@ class Potential:
 
     def __post_init__(self):
         # each message starts with the offending field's name
-        if self.kind not in _DOMAINS:
+        if self.kind not in _BOUNDS:
             raise ValueError(f"kind: unknown potential kind {self.kind!r}")
         if not 1.0 < self.c1 < math.inf:
             raise ValueError("c1: must be finite and greater than 1")
 
     @property
-    def domain(self) -> tuple:
-        """The kind's open interval (a, b)."""
-        return _DOMAINS[self.kind]
-
-    @property
     def bounds(self) -> tuple:
-        """The open interval that evaluation admits, inside the domain."""
+        """The open interval (a, b) that evaluation admits."""
         return _BOUNDS[self.kind]
 
     def admits(self, s) -> bool:
-        """Whether every entry of s lies in the open interval that evaluation admits."""
+        """Whether every entry of s lies in the open interval that evaluation
+        admits; NaN lies in no interval."""
         a, b = _BOUNDS[self.kind]
-        # fmin/fmax skip NaN as the comparisons do
-        return not (np.fmin.reduce(s, None, initial=b) <= a
-                    or np.fmax.reduce(s, None, initial=a) >= b)
+        # minimum/maximum propagate NaN, and a NaN fails both comparisons
+        return (a < np.minimum.reduce(s, None, initial=b)
+                and np.maximum.reduce(s, None, initial=a) < b)
 
     # -- constructors -------------------------------------------------------
 
@@ -72,7 +68,7 @@ class Potential:
     def _check(self, s):
         s = np.asarray(s, dtype=float)
         if not self.admits(s):
-            raise DomainViolationError(f"argument outside the open interval {self.bounds}")
+            raise DomainViolationError(f"argument NaN or outside the open interval {self.bounds}")
         return s
 
     def F(self, s):

@@ -10,9 +10,9 @@ with phi* = old phi (semi_implicit_P, default) or phi* = phi+ (fully
 implicit).  Newton starts at the extrapolated guess 2 x_1 - x_0 at the second
 step and at 3 x_{k-1} - 3 x_{k-2} + x_{k-3} from the third on, or at x_{k-1}
 when the potential does not admit the guess's phi.  Newton updates are damped
-so phi iterates never leave the potential domain (fraction-to-the-boundary
-rule), except on a whole-line domain (the regular potential), where f itself
-rejects a non-finite phi.  A solve builds one ``StepOperator``, which holds the
+so phi iterates stay inside Potential.bounds (fraction-to-the-boundary rule),
+except on the whole line (the regular potential), where f itself rejects a
+non-finite or NaN phi.  A solve builds one ``StepOperator``, which holds the
 dt-constant inverse (I/dt + C^{2tau})^{-1} and three products with it; every
 Newton iteration assembles its exact Jacobian's N x N phi block from them in
 O(N^2), factors it and recovers mu and S as rows: no step stacks or inverts.
@@ -105,7 +105,7 @@ class StateTrajectory:
 
 def initial_mu(system: TumorSystem, phi0: np.ndarray, S0: np.ndarray) -> np.ndarray:
     """Solve (A^{2rho} + P(phi0)) mu(0) = P(phi0) S0."""
-    system.potential.f(phi0)  # raises DomainViolationError outside the domain
+    system.potential.f(phi0)  # raises DomainViolationError where it does not admit phi0
     P0 = system.proliferation(phi0)
     return solve_power_plus_mult(system.op_A, P0, P0 * S0)
 
@@ -149,7 +149,8 @@ def _round_off_floor(system, dt, prev, new, u_k) -> float:
 
 
 def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
-    a, b = system.potential.domain
+    """Damped fraction of dphi that keeps phi, which the potential admits, in its bounds."""
+    a, b = system.potential.bounds
     alpha = 1.0
     up = dphi > 0.0
     if np.any(up):
@@ -157,7 +158,7 @@ def _boundary_step_fraction(system, cfg, phi, dphi) -> float:
     dn = dphi < 0.0
     if np.any(dn):
         alpha = min(alpha, cfg.damping * np.min((phi[dn] - a) / (-dphi[dn])))
-    return max(alpha, 0.0)
+    return alpha
 
 
 class StepOperator:
@@ -264,10 +265,10 @@ def step(op: StepOperator, cfg: SolverConfig, prev: tuple, u_k: np.ndarray,
     semi = cfg.scheme == SEMI_IMPLICIT_P
     P_old = P_fun(phi_p) if semi else None
     f2_old = pot.split_f(phi_p)[1] if split else None
-    bounded = any(map(math.isfinite, pot.domain))  # the whole line has no boundary
+    bounded = any(map(math.isfinite, pot.bounds))  # the whole line has no boundary
 
     # without a usable guess Newton starts at the previous state, so the first
-    # evaluation of f checks that phi_p lies in the potential's domain
+    # evaluation of f checks that the potential admits phi_p
     if guess is not None and (not bounded or pot.admits(guess[1])):
         mu, phi, S = (np.asarray(v, dtype=float) for v in guess)
     else:

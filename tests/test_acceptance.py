@@ -241,21 +241,21 @@ def test_criterion_06_gradient_consistency(system, desk_run):
     tg, u, phi0, S0, traj = desk_run
     x = system.grid.points
     h = np.outer(np.sin(5.0 * tg.times[1:]) + 1.1, np.sin(x) + 0.5)
+    cfg = SolverConfig(newton_tol=1e-12)
     gaps = []
     for n in (1000, 2000):
         tg_n = TimeGrid(1.0, n)
         u_n = 0.2 * np.ones((n, N_DESK))
         h_n = np.outer(np.sin(5.0 * tg_n.times[1:]) + 1.1, np.sin(x) + 0.5)
         spec = make_spec(n, (1.0, 0.5, 1.0, 0.5, 1.0))
-        _, errors = fd_gradient_check(system, tg_n, u_n, h_n, phi0, S0, spec,
-                                      eps_list=(1e-3,),
-                                      cfg=SolverConfig(newton_tol=1e-12))
+        traj_n = solve_forward(system, tg_n, u_n, phi0, S0, cfg)
+        _, errors = fd_gradient_check(system, tg_n, u_n, h_n, traj_n, spec,
+                                      eps_list=(1e-3,), cfg=cfg)
         gaps.append(float(errors[0]))
     rate = math.log2(gaps[0] / gaps[1])
 
     quad_spec = make_spec(tg.n_steps, (0, 0, 0, 0, 1.0))
-    _, q_err = fd_gradient_check(system, tg, u, h, phi0, S0, quad_spec,
-                                 eps_list=(1e-2,))
+    _, q_err = fd_gradient_check(system, tg, u, h, traj, quad_spec, eps_list=(1e-2,))
     ok = gaps[0] <= 1e-2 and 0.8 <= rate <= 1.2 and float(q_err[0]) <= 1e-8
     report(6, "gradient_consistency", ok,
            f"gap {gaps[0]:.3e} at dt=1e-3, halving rate {rate:.3f}, "

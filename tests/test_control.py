@@ -100,7 +100,7 @@ def test_gradient_matches_finite_differences(setup):
     system, tg, u, phi0, S0, spec, traj = setup
     rng = np.random.default_rng(3)
     h = rng.standard_normal(u.shape)
-    eps, errors = fd_gradient_check(system, tg, u, h, phi0, S0, spec)
+    eps, errors = fd_gradient_check(system, tg, u, h, traj, spec)
     assert errors[np.argmin(np.abs(eps - 1e-3))] <= 1e-2
 
 
@@ -111,8 +111,7 @@ def test_gradient_exact_for_control_only_cost(setup):
     quad = _zero_spec(tg.n_steps, system.n_points, kappas=(0, 0, 0, 0, 1.0))
     rng = np.random.default_rng(6)
     h = rng.standard_normal(u.shape)
-    eps, errors = fd_gradient_check(system, tg, u, h, phi0, S0, quad,
-                                    eps_list=(1e-3,))
+    eps, errors = fd_gradient_check(system, tg, u, h, traj, quad, eps_list=(1e-3,))
     assert errors[0] <= 1e-8
 
 
@@ -122,15 +121,16 @@ def test_gradient_gap_shrinks_with_dt():
     x = system.grid.points
     phi0, S0 = 0.3 * np.sin(x), 0.4 + 0.1 * np.cos(x)
     rng = np.random.default_rng(8)
+    cfg = SolverConfig(newton_tol=1e-12)
     gaps = []
     for n in (100, 200):
         tg = TimeGrid(0.2, n)
         u = 0.2 * np.ones((n, system.n_points))
         h = np.outer(np.sin(tg.times[1:] * 5.0) + 1.1, np.cos(x))
         spec = _zero_spec(n, system.n_points, kappas=(1.0, 0.5, 1.0, 0.5, 1.0))
-        eps, errors = fd_gradient_check(system, tg, u, h, phi0, S0, spec,
-                                        eps_list=(1e-3,),
-                                        cfg=SolverConfig(newton_tol=1e-12))
+        traj = solve_forward(system, tg, u, phi0, S0, cfg)
+        eps, errors = fd_gradient_check(system, tg, u, h, traj, spec,
+                                        eps_list=(1e-3,), cfg=cfg)
         gaps.append(errors[0])
     rate = np.log2(gaps[0] / gaps[1])
     assert 0.8 <= rate <= 1.2
@@ -139,7 +139,7 @@ def test_gradient_gap_shrinks_with_dt():
 def test_zero_probe_direction_rejected(setup):
     system, tg, u, phi0, S0, spec, traj = setup
     with pytest.raises(ValueError):
-        fd_gradient_check(system, tg, u, np.zeros_like(u), phi0, S0, spec)
+        fd_gradient_check(system, tg, u, np.zeros_like(u), traj, spec)
 
 
 def test_stationarity_zero_at_clamped_solution(setup):

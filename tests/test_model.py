@@ -45,9 +45,12 @@ _ARGUMENTS = [0.0, 0.5, -0.999, 1.0, -1.0, 1.0 - 1e-12, 1.0 - 2e-12, -1.0 + 1e-1
 
 def _rejected_by_two_any_calls(potential, s):
     """The domain predicate of the original guard: two module-level np.any
-    calls for the regular kind, one on |s| for the logarithmic kind."""
+    calls for the regular kind, one on |s| for the logarithmic kind; and a
+    NaN lies in no interval."""
     s = np.asarray(s, dtype=float)
-    a, b = potential.domain
+    a, b = potential.bounds
+    if np.any(np.isnan(s)):
+        return True
     if potential.kind == "logarithmic":
         return bool(np.any(np.abs(s) >= 1.0 - 1e-12))
     return bool(np.any(s <= a) or np.any(s >= b))

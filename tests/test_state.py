@@ -390,6 +390,52 @@ def test_guess_at_the_first_rejected_float_falls_back(sign):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_damped_update_stays_inside_the_admitted_interval(sign):
+    # phi 1e-11 from the endpoint, stepping toward it by 1: aimed at the
+    # endpoint itself the damped update would land 5e-13 from it, inside the
+    # 1e-12 guard that evaluation rejects; aimed at the bounds it lands 1.45e-12 away
+    system = build_system(potential=Potential.logarithmic(c1=2.0))
+    phi = np.array([0.0, sign * (1.0 - 1e-11)])
+    dphi = np.array([0.0, sign])
+    alpha = state._boundary_step_fraction(system, SolverConfig(), phi, dphi)
+    updated = phi + alpha * dphi
+    assert system.potential.admits(updated)
+    assert 1.4e-12 < 1.0 - abs(updated[1]) < 1.5e-12
+
+
+def test_guess_with_nan_phi_falls_back_to_previous_state():
+    system, tg, u, traj = logarithmic_run(SEMI_IMPLICIT_P, False)
+    prev = (traj.mu[24], traj.phi[24], traj.S[24])
+    phi = traj.phi[24].copy()
+    phi[5] = np.nan
+    op, cfg = state.StepOperator(system, tg.dt), SolverConfig()
+    from_guess = state.step(op, cfg, prev, u[24], step_index=25, guess=(prev[0], phi, prev[2]))
+    from_prev = state.step(op, cfg, prev, u[24], step_index=25)
+    for a, b in zip(from_guess, from_prev):
+        assert np.array_equal(a, b)
+    assert from_prev[3] == 2
+
+
+def test_regular_step_rejects_nan_guess_at_first_evaluation(monkeypatch):
+    # the whole line skips the step's admission test of the guess, so the
+    # potential's own check must reject the NaN before Newton iterates on it
+    system = build_system()
+    x = system.grid.points
+    phi, S = 0.3 * np.sin(x), 0.4 * np.ones(16)
+    prev = (initial_mu(system, phi, S), phi, S)
+    bad_phi = phi.copy()
+    bad_phi[5] = np.nan
+    checked = []
+    check = Potential._check
+    monkeypatch.setattr(Potential, "_check",
+                        lambda self, s: checked.append(s) or check(self, s))
+    with pytest.raises(DomainViolationError, match="NaN"):
+        state.step(state.StepOperator(system, 0.01), SolverConfig(), prev, 0.2 * np.ones(16),
+                   step_index=3, guess=(prev[0], bad_phi, S))
+    assert len(checked) == 1
+
+
 def test_extrapolated_start_takes_one_newton_iteration():
     # the default physics, reduced to N = 16 and 500 steps of the default dt
     default = parse_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
